@@ -3,10 +3,9 @@
 Runs one fig10-style configuration (chain topology, 1 TiB, KMEANS) and
 measures raw engine throughput along two axes —
 
-* scheduler: the compiled ``native`` engine (when built), the batched
-  cohort ``batch`` engine, the two-tier timing ``wheel`` (default),
-  and the plain binary ``heap`` that doubles as the determinism
-  reference — all must produce identical result digests;
+* scheduler: the pure-Python binary ``heap`` (the default and the
+  determinism reference) and the compiled ``native`` engine (when
+  built) — both must produce identical result digests;
 * observability: off (the zero-overhead-when-off baseline), per-hop
   latency ``attribution``, 1-in-8 ``sampled`` attribution
   (``attribution_sample=8``), and full event ``trace`` recording.
@@ -16,16 +15,14 @@ per repeat) so machine-load drift biases no single backend, and each
 cell reports the best round (events/second is a throughput: the
 minimum-noise run is the honest one on a shared machine).  The obs-off
 and sampled cells get ``--ratio-rounds`` extra interleaved rounds: the
-scheduler ratios (``wheel_vs_heap``, ``native_vs_wheel``, ...) and the
-gated sampled-attribution overhead compare best-of estimates whose
-per-sample noise on a busy 1-CPU box exceeds the true differences, so
-those cells need more samples to converge.
+``native_vs_heap`` ratio and the gated sampled-attribution overhead
+compare best-of estimates whose per-sample noise on a busy 1-CPU box
+exceeds the true differences, so those cells need more samples to
+converge.
 
-Results land in ``BENCH_engine.json`` together with the batch engine's
-cohort-size distribution (how much same-timestamp batching the workload
-actually exposes), the packet-pool recycling counters, and a
-timestamped ``trend`` list that accumulates one entry per benchmark run
-so regressions are visible across commits.  The CI smoke step asserts a
+Results land in ``BENCH_engine.json`` together with the packet-pool
+recycling counters and a timestamped ``trend`` list that accumulates
+one entry per benchmark run so regressions are visible across commits.  The CI smoke step asserts a
 tolerant floor on one scheduler's obs-off cell (``--gate-scheduler``).
 
 Usage::
@@ -33,7 +30,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_engine.py [--requests N]
         [--repeats N] [--output PATH] [--history N]
         [--min-events-per-s FLOOR] [--max-sampled-overhead FRACTION]
-        [--gate-scheduler {wheel,heap,batch,native}]
+        [--gate-scheduler {heap,native}]
 
 ``REPRO_BENCH_REQUESTS`` also scales the request count.
 """
@@ -41,7 +38,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import sys
@@ -51,7 +47,7 @@ from pathlib import Path
 
 from repro.config import SystemConfig
 from repro.serialization import result_digest
-from repro.sim.engine import Engine
+from repro.sim.engine import SCHEDULERS, Engine
 from repro.system import MemoryNetworkSystem
 from repro.units import TIB_BYTES
 from repro.workloads import get_workload
@@ -102,7 +98,7 @@ def main(argv=None) -> int:
         type=int,
         default=8,
         help="extra interleaved rounds for the obs-off cells, tightening "
-        "the best-of estimates behind the scheduler ratios",
+        "the best-of estimates behind the scheduler ratio",
     )
     parser.add_argument(
         "--output",
@@ -131,8 +127,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--gate-scheduler",
-        choices=("wheel", "heap", "batch", "native"),
-        default="wheel",
+        choices=SCHEDULERS,
+        default="heap",
         help="which scheduler's cells the perf gates apply to",
     )
     args = parser.parse_args(argv)
@@ -141,10 +137,7 @@ def main(argv=None) -> int:
 
     from repro.sim import native
 
-    schedulers = ["native", "batch", "wheel", "heap"]
-    if importlib.util.find_spec("numpy") is None:
-        print("  (numpy not installed: skipping the batch engine)")
-        schedulers.remove("batch")
+    schedulers = ["native", "heap"]
     if not native.available():
         print("  (compiled extension not built: skipping the native engine)")
         schedulers.remove("native")
@@ -172,7 +165,6 @@ def main(argv=None) -> int:
     rates = {f"{s}_{o}": 0.0 for s, o, _ in cells}
     digests = {}
     events = None
-    cohorts = None
     pool_stats = None
     for _round in range(args.repeats):
         for scheduler, obs_label, config in cells:
@@ -182,8 +174,7 @@ def main(argv=None) -> int:
             if obs_label == "off":
                 digests[scheduler] = result_digest(result)
                 events = result.events_processed
-                if scheduler == "batch":
-                    cohorts = system.engine.cohort_stats()
+                if scheduler == "heap":
                     pool_stats = system.packet_pool.stats()
     # The sampled cell rides along in the extra rounds: its overhead is
     # gated in CI, and comparing a best-of-N cell against a best-of-3
@@ -214,12 +205,6 @@ def main(argv=None) -> int:
         f"  digests agree    : {reference[:16]} "
         f"({'/'.join(schedulers)}, {events} events)"
     )
-    if cohorts is not None:
-        print(
-            f"  batch cohorts    : mean {cohorts['mean_cohort']:.2f} over "
-            f"{cohorts['cohorts']} cohorts in {cohorts['windows']} windows "
-            f"({cohorts['spilled_events']} spilled)"
-        )
     if pool_stats is not None:
         print(
             f"  packet pool      : {pool_stats['acquired']} acquired, "
@@ -245,23 +230,12 @@ def main(argv=None) -> int:
         "events_processed": events,
         "result_digest": reference,
         "events_per_s": rates,
-        "wheel_vs_heap": ratio("wheel_off", "heap_off"),
-        "batch_vs_heap": (
-            ratio("batch_off", "heap_off") if "batch" in schedulers else None
-        ),
         "native_vs_heap": (
             ratio("native_off", "heap_off") if "native" in schedulers else None
         ),
-        "native_vs_wheel": (
-            ratio("native_off", "wheel_off") if "native" in schedulers else None
-        ),
-        "attribution_overhead": overhead("wheel", "attribution"),
-        "sampled_attribution_overhead": overhead("wheel", "sampled"),
-        "trace_overhead": overhead("wheel", "traced"),
-        "batch_attribution_overhead": (
-            overhead("batch", "attribution") if "batch" in schedulers else None
-        ),
-        "cohorts": cohorts,
+        "attribution_overhead": overhead("heap", "attribution"),
+        "sampled_attribution_overhead": overhead("heap", "sampled"),
+        "trace_overhead": overhead("heap", "traced"),
         "packet_pool": pool_stats,
         "trend": (load_trend(output) + [{
             "timestamp": datetime.now(timezone.utc).isoformat(

@@ -13,9 +13,10 @@ tests and by ``docs/testing.md``:
 ====================  =====================================================
 invariant             contract
 ====================  =====================================================
-engine.integrity      timing-wheel bookkeeping (pending counter, bucket
-                      heap vs bucket dict, per-bucket filing) is
-                      self-consistent — a stale wheel entry fails here
+engine.integrity      scheduler bookkeeping is self-consistent: the
+                      pending counter matches the queued events (an
+                      event pushed without counting fails here) and no
+                      queued event is timestamped before now
 engine.monotonic      audited simulation time never goes backwards
 credit.bounds         a link's credits stay within [0, buffer depth]
 credit.conservation   depth - credits == queued + on-wire for every

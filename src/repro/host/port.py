@@ -832,14 +832,21 @@ class HostPort:
         self._release_claims(txn)
         self._fail_common(engine, txn)
 
-    def adopt_route_table(self, route_table: RouteTable) -> None:
+    def adopt_route_table(self, engine: Engine, route_table: RouteTable) -> None:
         """A permanent failure rebuilt the routes: adopt the degraded
         table.  Called *before* the system's quiesce walk so that any
         injection it triggers already uses live routes — a stale route
         whose first hop is dead would deadlock the inject queue.
+
+        At-port transactions whose cube the new table cannot reach are
+        failed here, before a quiesce drain callback can pump them into
+        an injection that has no route.
         """
         self.route_table = route_table
         self._degraded = True
+        for txn in self._at_port:
+            if not self._reachable(txn):
+                self.fail_issued(engine, txn)
 
     def fail_unreachable(self, engine: Engine) -> None:
         """Error every transaction whose cube the degraded table cannot

@@ -1,10 +1,10 @@
 """Discrete-event simulation kernel.
 
 The kernel is deliberately small: an integer-picosecond clock, a queue
-of ``(time, sequence, callback)`` entries behind one of three
-interchangeable schedulers (``wheel``, ``heap``, ``batch`` — see
-:mod:`repro.sim.engine`), and deterministic tie-breaking by insertion
-order.  All higher-level components (links, routers, memory
+of ``(time, sequence, callback)`` entries behind one of two
+interchangeable schedulers (the pure-Python ``heap`` and the compiled
+``native`` — see :mod:`repro.sim.engine`), and deterministic
+tie-breaking by insertion order.  All higher-level components (links, routers, memory
 controllers, hosts) are implemented as callbacks over this kernel.
 """
 

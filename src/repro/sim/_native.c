@@ -8,8 +8,8 @@
  *   per-event tuple allocation, no rich-comparison calls in the heap),
  *   with callbacks dispatched through the vectorcall protocol.  Events
  *   fire in exact (time, seq) order, so results are bit-identical to
- *   the wheel/heap/batch schedulers — the determinism contract the
- *   golden corpora pin.
+ *   the pure-Python heap scheduler (the determinism oracle) — the
+ *   contract the golden corpora pin.
  *
  * - NativeQueue mirrors repro.net.buffers.InputQueue: packets stay in
  *   a real Python list bound to the ``_items`` attribute (the router's
@@ -479,12 +479,6 @@ Engine_get_processed(NativeEngine *self, void *Py_UNUSED(closure))
 }
 
 static PyObject *
-Engine_get_collapsed(NativeEngine *self, void *Py_UNUSED(closure))
-{
-    Py_RETURN_FALSE;
-}
-
-static PyObject *
 Engine_get_scheduler(NativeEngine *self, void *Py_UNUSED(closure))
 {
     return PyUnicode_FromString("native");
@@ -570,8 +564,6 @@ static PyGetSetDef Engine_getset[] = {
     {"pending", (getter)Engine_get_pending, NULL,
      "Number of events still in the queue.", NULL},
     {"events_processed", (getter)Engine_get_processed, NULL, NULL, NULL},
-    {"collapsed", (getter)Engine_get_collapsed, NULL,
-     "Wheel-collapse flag; always False for the native heap.", NULL},
     {"scheduler", (getter)Engine_get_scheduler, NULL, NULL, NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };

@@ -1,12 +1,11 @@
 """Loader for the compiled scheduler backend (``Engine("native")``).
 
-Mirrors how the ``batch`` extra handles numpy: the compiled artifact is
-optional, the pure-Python install path never imports it, and asking
-for it explicitly without the artifact present raises a
-:class:`~repro.errors.SimulationError` that says how to get it.  The
-ambient path (``REPRO_ENGINE=native`` in the environment) falls back
-to the ``wheel`` scheduler with a one-time warning instead — an env
-var set fleet-wide must not break machines without a compiler.
+The compiled artifact is optional, the pure-Python install path never
+imports it, and asking for it explicitly without the artifact present
+raises a :class:`~repro.errors.SimulationError` that says how to get
+it.  The ambient path (``REPRO_ENGINE=native`` in the environment)
+falls back to the ``heap`` scheduler with a one-time warning instead —
+an env var set fleet-wide must not break machines without a compiler.
 
 The extension is built in-tree (``python -m repro.sim.native_build``)
 from ``_native.c``; no third-party packages are involved, so the
@@ -20,8 +19,8 @@ from repro.errors import SimulationError
 
 BUILD_HINT = (
     "build it with `python -m repro.sim.native_build` (needs a C "
-    "compiler and the CPython headers), or pick one of the pure-Python "
-    "schedulers Engine('wheel') / Engine('heap')"
+    "compiler and the CPython headers), or use the pure-Python "
+    "scheduler Engine('heap')"
 )
 
 _module = None

@@ -10,10 +10,10 @@ machinery::
 Uses the C compiler the interpreter was built with (``sysconfig``'s
 ``CC``, falling back to ``cc``) plus the interpreter's own headers.
 When no compiler is present the build fails with a clear message and
-the simulator keeps working on the pure-Python schedulers —
+the simulator keeps working on the pure-Python ``heap`` scheduler —
 :mod:`repro.sim.native` turns the missing artifact into a
 :class:`~repro.errors.SimulationError` (explicit ``Engine("native")``)
-or a fall-back to ``wheel`` (ambient ``REPRO_ENGINE=native``).
+or a fall-back to ``heap`` (ambient ``REPRO_ENGINE=native``).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def build(force: bool = False, quiet: bool = False) -> Path:
 
     Raises :class:`RuntimeError` when the compiler is missing or the
     compile fails — callers (the loader, CI) decide whether that is
-    fatal or just means "stay on the pure-Python schedulers".
+    fatal or just means "stay on the pure-Python heap scheduler".
     """
     out = target_path()
     if not force and is_fresh(out):
@@ -79,7 +79,7 @@ def build(force: bool = False, quiet: bool = False) -> Path:
     except FileNotFoundError as exc:
         raise RuntimeError(
             f"no C compiler found ({cmd[0]!r}): the native engine is "
-            "optional — the wheel/heap/batch schedulers keep working"
+            "optional — the heap scheduler keeps working"
         ) from exc
     if proc.returncode != 0:
         raise RuntimeError(

@@ -57,15 +57,15 @@ class MemoryNetworkSystem:
         self.workload_spec = workload
         self.requests = requests
         # An explicit engine selects the scheduler implementation (the
-        # determinism-equivalence suite runs both); results are
+        # heap-vs-native equivalence tests run both); results are
         # bit-identical either way, so the choice is not part of the
         # job digest.
         self.engine = engine if engine is not None else Engine()
         # The native backend compiles the network inner loop too: every
         # input queue in the fabric is the C implementation (push/pop/
         # head-key maintenance in C, identical semantics and counters).
-        # The pure-Python schedulers keep the pure-Python queue, so the
-        # wheel baseline stays an honest comparison point.
+        # The pure-Python heap keeps the pure-Python queue, so the
+        # oracle stays an honest comparison point.
         self._queue_cls = InputQueue
         self._router_cls = Router
         if getattr(self.engine, "scheduler", None) == "native":
@@ -404,7 +404,7 @@ class MemoryNetworkSystem:
         if self.tracer is not None:
             for a, b in applied:
                 self.tracer.ras_failure(engine.now, a, b)
-        self.port.adopt_route_table(self.route_table)
+        self.port.adopt_route_table(engine, self.route_table)
         self._quiesce(engine)
         self.port.fail_unreachable(engine)
         for router in self._routers.values():

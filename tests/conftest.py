@@ -10,6 +10,7 @@ import pytest
 from repro.config import HostConfig, SystemConfig
 from repro.results import SimResult
 from repro.serialization import result_digest
+from repro.sim import native
 from repro.sim.engine import Engine
 from repro.system import MemoryNetworkSystem
 from repro.units import GIB_BYTES
@@ -25,6 +26,12 @@ if importlib.util.find_spec("pytest_timeout") is None:
             "per-test timeout in seconds (enforced only with pytest-timeout)",
             default=None,
         )
+
+
+#: Scheduler backends usable here: the heap oracle always, plus the
+#: compiled engine when it is built (cross-engine tests run every leg
+#: in this tuple, so the native leg skips cleanly without the build).
+BUILT_SCHEDULERS = ("heap", "native") if native.available() else ("heap",)
 
 
 def small_config(**overrides) -> SystemConfig:
@@ -89,7 +96,7 @@ def sim_digest(
     config: Optional[SystemConfig] = None,
     workload: Optional[WorkloadSpec] = None,
     requests: int = 150,
-    scheduler: str = "wheel",
+    scheduler: str = "heap",
     **kwargs,
 ) -> Tuple[str, int]:
     """Lossless result digest + event count of one direct run."""

@@ -2,12 +2,15 @@
 
 Positive direction: healthy and degraded runs pass every audit, and an
 audited run is bit-identical to an unaudited one (audits verify, they
-never perturb).  Negative direction: three injected defects — a stolen
-credit, a leaked packet, a stale timing-wheel entry — must each be
-caught by its named invariant, with reproduction context attached.
+never perturb).  Negative direction: injected defects — a stolen
+credit, a leaked packet, an uncounted or past scheduler event — must
+each be caught by its named invariant, with reproduction context
+attached.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import pytest
 
@@ -18,7 +21,7 @@ from repro.check import (
     set_audits,
 )
 from repro.serialization import result_digest
-from repro.sim.engine import WHEEL_SHIFT, Engine
+from repro.sim.engine import Engine
 from repro.system import MemoryNetworkSystem
 
 from conftest import fast_workload, run_sim, run_system, small_config
@@ -184,24 +187,38 @@ class TestInjectedDefects:
             system.run()
         assert "queue.accounting" in excinfo.value.invariants()
 
-    def test_stale_wheel_entry_caught(self):
-        # White-box: reaches into the timing wheel's far map, so pin
-        # the wheel scheduler regardless of any ambient REPRO_ENGINE.
+    def _finished_heap_system(self):
+        # White-box: reaches into the Python heap, so pin the heap
+        # scheduler regardless of any ambient REPRO_ENGINE.
         system = MemoryNetworkSystem(
             small_config(),
             fast_workload(),
             requests=40,
             audit=True,
-            engine=Engine("wheel"),
+            engine=Engine("heap"),
         )
         system.run()
+        return system
+
+    def test_uncounted_heap_event_caught(self):
+        system = self._finished_heap_system()
         engine = system.engine
-        # File a far-bucket entry without registering its bucket index
-        # (or the pending count): the classic stale-wheel-entry bug.
-        index = (engine.now >> WHEEL_SHIFT) + 1000
-        engine._far[index] = [
-            (index << WHEEL_SHIFT, engine._seq, lambda eng: None, ())
-        ]
+        # Push an event without bumping the pending counter: the event
+        # was smuggled past the scheduler's bookkeeping.
+        heapq.heappush(
+            engine._heap, (engine.now + 1, engine._seq, lambda eng: None, ())
+        )
+        names = {v[0] for v in system.auditor.collect("final")}
+        assert names == {"engine.integrity"}
+
+    def test_past_heap_event_caught(self):
+        system = self._finished_heap_system()
+        engine = system.engine
+        # A counted event timestamped before now would fire in the past.
+        heapq.heappush(
+            engine._heap, (engine.now - 1, engine._seq, lambda eng: None, ())
+        )
+        engine._pending += 1
         names = {v[0] for v in system.auditor.collect("final")}
         assert names == {"engine.integrity"}
 

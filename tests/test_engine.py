@@ -1,9 +1,17 @@
 """Tests for the discrete-event scheduler."""
 
+import importlib.util
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.experiments.__main__ import main as experiments_main
 from repro.sim.engine import Engine
+from repro.system import MemoryNetworkSystem
+
+from conftest import fast_workload, small_config
 
 
 def test_initial_state():
@@ -217,3 +225,48 @@ def test_run_until_empty_queue_repeated():
     engine.run(until=30)
     assert engine.now == 30
     assert engine.events_processed == 0
+
+
+def test_default_engine_is_heap(monkeypatch):
+    # The *documented* default, independent of any ambient override.
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    system = MemoryNetworkSystem(small_config(), fast_workload(), requests=1)
+    assert system.engine.scheduler == "heap"
+
+
+def _profile_run_module():
+    path = Path(__file__).resolve().parents[1] / "tools" / "profile_run.py"
+    spec = importlib.util.spec_from_file_location("profile_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestEngineCliChoices:
+    """Both ``--engine`` flags take their choices from ``SCHEDULERS``."""
+
+    def test_experiments_cli_accepts_native(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "heap")
+        assert experiments_main(["list", "--engine", "native"]) == 0
+        assert os.environ["REPRO_ENGINE"] == "native"
+
+    def test_experiments_cli_rejects_wheel(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            experiments_main(["list", "--engine", "wheel"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'wheel'" in capsys.readouterr().err
+
+    def test_profile_run_accepts_native(self, monkeypatch):
+        module = _profile_run_module()
+        seen = []
+        monkeypatch.setattr(
+            module, "profile_simulation", lambda *args: seen.append(args[-1])
+        )
+        assert module.main(["--engine", "native"]) == 0
+        assert seen == ["native"]
+
+    def test_profile_run_rejects_wheel(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _profile_run_module().main(["--engine", "wheel"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'wheel'" in capsys.readouterr().err

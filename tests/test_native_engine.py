@@ -3,18 +3,19 @@
 The native engine is an optional in-tree C extension; every test that
 needs it skips cleanly when it is not built.  Dispatch-error tests run
 everywhere: an unknown backend name must fail loudly with an error that
-names the valid backends and whether the optional ones (batch, native)
-are usable on this machine.
+names the valid backends (``heap`` and ``native``) and whether the
+compiled one is usable on this machine.
 
-The equivalence tests mirror the wheel/batch suites: the compiled
-scheduler, queue and router must be invisible — bit-identical digests
-against the heap oracle across topologies with observability and RAS
-on, plus a golden-corpus spot replay under the ambient override.
+The equivalence tests pin the compiled scheduler, queue and router as
+invisible — bit-identical digests against the heap oracle across
+topologies with observability and RAS on, plus a golden-corpus spot
+replay under the ambient override.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -47,8 +48,21 @@ class TestDispatch:
         message = str(err.value)
         assert "quantum" in message
         assert "valid backends" in message
-        for name in ("'wheel'", "'heap'", "'batch'", "'native'"):
-            assert name in message
+        assert "'heap'" in message and "'native'" in message
+
+    @pytest.mark.parametrize("name", ["wheel", "batch"])
+    def test_removed_backends_raise_with_status(self, name):
+        with pytest.raises(SimulationError) as err:
+            Engine(name)
+        status = str(err.value).split("; ", 1)[1]
+        assert status == backend_status()
+        assert "wheel" not in status and "batch" not in status
+
+    @pytest.mark.parametrize("name", ["wheel", "batch"])
+    def test_removed_env_engines_raise(self, monkeypatch, name):
+        monkeypatch.setenv("REPRO_ENGINE", name)
+        with pytest.raises(SimulationError, match="valid backends: 'heap', 'native'"):
+            Engine()
 
     def test_unknown_env_engine_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "turbo")
@@ -62,7 +76,7 @@ class TestDispatch:
         assert (
             "extension built" if native.available() else "extension not built"
         ) in status
-        assert "numpy" in status
+        assert status.startswith("valid backends: 'heap', 'native'")
 
     def test_explicit_native_without_extension_raises(self, monkeypatch):
         monkeypatch.setattr(native, "_module", None)
@@ -78,7 +92,11 @@ class TestDispatch:
         monkeypatch.setenv("REPRO_ENGINE", "native")
         with pytest.warns(RuntimeWarning, match="falling back"):
             engine = Engine()
-        assert engine.scheduler == "wheel"
+        assert engine.scheduler == "heap"
+        # The warning fires once per process, not once per engine.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Engine().scheduler == "heap"
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +164,15 @@ def test_native_reproduces_goldens(name, monkeypatch):
 # ---------------------------------------------------------------------------
 # Property test: adversarial schedules pop identically to the heap
 # ---------------------------------------------------------------------------
-WHEEL_PERIOD = 1 << engine_mod.WHEEL_SHIFT
+#: Delays cluster around multiples of this period (~one link
+#: serialization plus SerDes hop), so generated schedules are dense
+#: with exact-time ties and near-ties.
+PERIOD_PS = 4096
 
 _delays = st.one_of(
-    st.integers(min_value=0, max_value=3 * WHEEL_PERIOD),
+    st.integers(min_value=0, max_value=3 * PERIOD_PS),
     st.builds(
-        lambda k, off: max(0, k * WHEEL_PERIOD + off),
+        lambda k, off: max(0, k * PERIOD_PS + off),
         st.integers(min_value=0, max_value=4),
         st.integers(min_value=-2, max_value=2),
     ),

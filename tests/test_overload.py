@@ -3,7 +3,6 @@ admission control, their invariants, and digest transparency."""
 
 from __future__ import annotations
 
-import importlib.util
 from dataclasses import replace
 
 import pytest
@@ -15,9 +14,14 @@ from repro.serialization import result_digest, result_from_state, result_to_stat
 from repro.units import ns
 from repro.workloads.base import VALID_ARRIVALS
 
-from conftest import fast_workload, run_sim, run_system, sim_digest, small_config
-
-HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+from conftest import (
+    BUILT_SCHEDULERS,
+    fast_workload,
+    run_sim,
+    run_system,
+    sim_digest,
+    small_config,
+)
 
 
 def overload_config(**overrides) -> SystemConfig:
@@ -214,12 +218,11 @@ class TestEngineEquivalence:
     def test_overload_digest_identical_across_engines(self):
         config = overload_config().with_obs(attribution=True)
         workload = open_workload()
-        schedulers = ["heap", "wheel"] + (["batch"] if HAVE_NUMPY else [])
         digests = {
             scheduler: sim_digest(
                 config, workload, requests=150, scheduler=scheduler, audit=True
             )
-            for scheduler in schedulers
+            for scheduler in BUILT_SCHEDULERS
         }
         assert len(set(digests.values())) == 1, digests
 

@@ -17,7 +17,7 @@ from repro.obs import UNATTRIBUTED, phase_of, three_way_ns
 from repro.serialization import result_digest, result_from_state, result_to_state
 from repro.sim.engine import Engine
 
-from conftest import fast_workload, run_system, small_config
+from conftest import BUILT_SCHEDULERS, fast_workload, run_system, small_config
 
 
 def p2p_workload(fraction=0.2, **overrides):
@@ -135,10 +135,10 @@ class TestRelay:
 # Engine equivalence
 # ---------------------------------------------------------------------------
 class TestEngineEquivalence:
-    def test_three_engines_agree_on_p2p(self):
+    def test_engines_agree_on_p2p(self):
         config = p2p_config().with_obs(attribution=True)
         digests = set()
-        for scheduler in ("heap", "wheel", "batch"):
+        for scheduler in BUILT_SCHEDULERS:
             _, result = run_system(
                 config,
                 p2p_workload(),

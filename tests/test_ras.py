@@ -226,6 +226,43 @@ class TestPermanentFailures:
         second = run_sim(config, workload, self.REQUESTS)
         assert result_digest(first) == result_digest(second)
 
+    def test_tree_cube_failure_fails_at_port_transactions(self):
+        """A cube failure that strands at-port transactions on a tree.
+
+        Shard 0 of the seed-108 staggered-fault fleet: a 100%-T shard
+        losing cube 1 (and the subtree behind it) at 200 ns.  The
+        quiesce walk drops a victim from the host inject queue, and
+        the drain callback pumps the at-port queue; a transaction to a
+        now-unreachable cube there must become a counted failure, not a
+        ``RoutingError`` from the injection.
+        """
+        from repro.config import SystemConfig
+        from repro.experiments import fleet_scale
+        from repro.experiments.base import suite
+        from repro.fleet import FleetConfig
+
+        shards = fleet_scale.staggered_faults(
+            fleet_scale.fleet_shards(64, SystemConfig(seed=108))
+        )
+        fleet = FleetConfig(
+            shards=shards,
+            workload=suite()[0],
+            requests_per_shard=100,
+            seed=108,
+        )
+        job = fleet.compile()[0]
+        assert job.config.seed == 9018521274845409782
+        assert job.config.ras.cube_failures == ((1, 200_000),)
+        system, result = run_system(
+            job.config, job.workload, requests=job.requests, audit=True
+        )
+        assert result.requests_failed > 0
+        assert result.availability < 1.0
+        assert (
+            result.requests_served + result.requests_failed == job.requests
+        )
+        assert system.auditor.collect("final") == []
+
     def test_availability_survives_state_roundtrip(self):
         from repro.serialization import result_from_state, result_to_state
 

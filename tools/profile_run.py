@@ -1,6 +1,6 @@
 """Profile one simulation under cProfile and print the hot functions.
 
-The engine-throughput work that produced the timing-wheel scheduler and
+The engine-throughput work that produced the compiled scheduler and
 the event-driven router wake-ups was driven by exactly this view: run a
 representative configuration, sort by cumulative or total time, and
 attack the top of the list.  Kept as a first-class tool so the next
@@ -18,7 +18,7 @@ Usage::
     PYTHONPATH=src python tools/profile_run.py [--requests N]
         [--workload NAME] [--label CONFIG] [--sort tottime|cumtime]
         [--limit N] [--obs] [--stats PATH]
-        [--engine {heap,wheel,batch,native}]
+        [--engine {heap,native}]
 
 ``--stats PATH`` additionally dumps the raw pstats file for
 ``snakeviz``/``pstats`` post-processing.  ``--label`` accepts the same
@@ -34,7 +34,7 @@ import re
 import sys
 
 from repro.config import SystemConfig, parse_label
-from repro.sim.engine import Engine
+from repro.sim.engine import SCHEDULERS, Engine
 from repro.system import MemoryNetworkSystem
 from repro.units import TIB_BYTES
 from repro.workloads import get_workload
@@ -144,9 +144,9 @@ def main(argv=None) -> int:
         help="also dump the raw pstats file to PATH",
     )
     parser.add_argument(
-        "--engine", default=None, choices=("heap", "wheel", "batch", "native"),
+        "--engine", default=None, choices=SCHEDULERS,
         help="event-scheduler backend to profile (default: the ambient "
-        "one — REPRO_ENGINE or the wheel)",
+        "one — REPRO_ENGINE or the heap)",
     )
     args = parser.parse_args(argv)
     profile_simulation(
