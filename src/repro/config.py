@@ -204,6 +204,14 @@ class CubeConfig:
     def banks_per_quadrant(self) -> int:
         return self.banks_per_stack // self.num_quadrants
 
+    def scaled_banks_per_quadrant(self, scale: float) -> int:
+        """Banks per quadrant under ``capacity_scale`` (at least one).
+
+        The cubes and the host address map both size themselves from
+        this, so every decoded bank index exists.
+        """
+        return max(1, int(self.banks_per_quadrant * scale))
+
     def validate(self) -> None:
         if self.num_quadrants <= 0:
             raise ConfigError("cube needs at least one quadrant")
@@ -307,6 +315,13 @@ class ObsConfig:
     @property
     def enabled(self) -> bool:
         return self.attribution or self.trace
+
+    @property
+    def attribution_narrowed(self) -> bool:
+        """Attribution covers a sample of transactions or a label subset."""
+        return self.attribution and (
+            self.attribution_sample > 1 or self.attribution_labels is not None
+        )
 
     def validate(self) -> None:
         if self.trace_ring < 1:

@@ -13,11 +13,19 @@ Two occupancy windows model the paper's technology assumptions:
 A bank may hold several open rows (``num_row_buffers``): DRAM has one,
 PCM-style NVM several (buffer reorganization, Lee et al. ISCA'09 — the
 paper's reference [28]).  Rows are evicted LRU.
+
+Banks are created on first touch: a :class:`~repro.memory.controller.
+QuadrantController` holds ``None`` for every bank no request has reached
+yet, and a new bank starts from the busy windows that refresh alone would
+have given it (:func:`refreshed_windows`, tracked per refresh group).  A
+short job on a 4,096-bank system then builds only the few hundred banks
+it serves.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Tuple
 
 
 class Bank:
@@ -89,12 +97,25 @@ class Bank:
 
     def refresh(self, now_ps: int, duration_ps: int) -> None:
         """Refresh closes the row buffers and occupies the whole bank."""
-        start = max(now_ps, self.array_busy_until)
-        self.array_busy_until = start + duration_ps
-        self.buffer_busy_until = max(self.buffer_busy_until, self.array_busy_until)
+        self.array_busy_until, self.buffer_busy_until = refreshed_windows(
+            self.array_busy_until, self.buffer_busy_until, now_ps, duration_ps
+        )
         self._open_rows.clear()
 
     # kept for compatibility with older call sites/tests
     @property
     def busy_until(self) -> int:
         return max(self.array_busy_until, self.buffer_busy_until)
+
+
+def refreshed_windows(
+    array_busy_until: int, buffer_busy_until: int, now_ps: int, duration_ps: int
+) -> Tuple[int, int]:
+    """``(array_busy_until, buffer_busy_until)`` after a refresh at ``now_ps``.
+
+    The one definition of refresh timing: :meth:`Bank.refresh` applies it
+    to a live bank, and the controller applies it to each refresh group's
+    shadow windows, the state a bank no access has touched would hold.
+    """
+    array_busy_until = max(now_ps, array_busy_until) + duration_ps
+    return array_busy_until, max(buffer_busy_until, array_busy_until)

@@ -6,6 +6,15 @@ cube router's local input port.  Scheduling is first-ready FCFS: the
 oldest request whose bank is free issues; younger requests may bypass a
 bank conflict (bank-level parallelism, which Fig 14's capacity study
 depends on).
+
+Banks are allocated on first touch.  ``banks`` keeps the configured
+length, but a slot stays ``None`` until a queued request names that
+bank; a paper system has 256 banks per stack and a short job reaches a
+few hundred of its thousands.  Refresh keeps this exact: each refresh
+group carries *shadow* busy windows, updated by every tick with the same
+arithmetic as :meth:`Bank.refresh` (:func:`refreshed_windows`), and a
+bank created later starts from its group's shadow, which is the state
+an eagerly built bank nobody touched would be in.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.config import PacketConfig
-from repro.memory.bank import Bank
+from repro.memory.bank import Bank, refreshed_windows
 from repro.memory.timing import AccessPlan, TimingModel
 from repro.net.buffers import InputQueue
 from repro.net.packet import Packet, PacketKind
@@ -42,9 +51,13 @@ class QuadrantController:
     ) -> None:
         self.name = name
         self.timing = timing
-        self.banks: List[Bank] = [
-            Bank(num_row_buffers=timing.tech.row_buffers) for _ in range(num_banks)
-        ]
+        # Created on first touch (see bank()); None until then.
+        self.banks: List[Optional[Bank]] = [None] * num_banks
+        # Refresh-group shadows: the busy windows of a bank in that
+        # group that no access has touched (see _refresh_tick).
+        groups = min(self.REFRESH_GROUPS, num_banks)
+        self._shadow_array = [0] * groups
+        self._shadow_buffer = [0] * groups
         self.queue_depth = queue_depth
         self.inject_queue = inject_queue
         self.router = router
@@ -99,8 +112,9 @@ class QuadrantController:
     def receive(self, engine: Engine, packet: Packet) -> None:
         if self._refresh_due_ps is not None and not self._refresh_armed:
             # Dormant: replay the refresh ticks skipped while the queue
-            # was empty (banks were untouched, so the lazy replay is
-            # exact), then go back to eager ticking.
+            # was empty (no bank was touched and no bank was created in
+            # between, so the lazy replay is exact), then go back to
+            # eager ticking.
             now = engine.now
             while self._refresh_due_ps <= now:
                 self._refresh_tick(self._refresh_due_ps)
@@ -121,6 +135,8 @@ class QuadrantController:
                 packet = self._queue[0]
                 location = packet.location
                 bank = self.banks[location.bank]
+                if bank is None:
+                    bank = self.bank(location.bank)
                 if not bank.ready_for(now, location.row):
                     break
                 del self._queue[0]
@@ -133,6 +149,8 @@ class QuadrantController:
                 for position, packet in enumerate(self._queue):
                     location = packet.location
                     bank = self.banks[location.bank]
+                    if bank is None:
+                        bank = self.bank(location.bank)
                     if bank.ready_for(now, location.row):
                         del self._queue[position]
                         self._issue(engine, packet, bank, location.row)
@@ -263,6 +281,8 @@ class QuadrantController:
         for packet in scan:
             location = packet.location
             bank = self.banks[location.bank]
+            if bank is None:
+                bank = self.bank(location.bank)
             start = bank.earliest_start(now, location.row)
             if start > now and (earliest is None or start < earliest):
                 earliest = start
@@ -278,26 +298,53 @@ class QuadrantController:
             self._next_wake_ps = None
         self._kick(engine)
 
+    # -- banks -------------------------------------------------------------------
+    def bank(self, index: int) -> Bank:
+        """Bank ``index``, created on first touch.
+
+        A new bank copies its refresh group's shadow windows, so it is
+        field for field the bank that eager construction plus every
+        refresh tick so far would have produced: no row is open, because
+        refresh closes rows and nothing has opened one.
+        """
+        bank = self.banks[index]
+        if bank is None:
+            bank = Bank(num_row_buffers=self.timing.tech.row_buffers)
+            group = index % len(self._shadow_array)
+            bank.array_busy_until = self._shadow_array[group]
+            bank.buffer_busy_until = self._shadow_buffer[group]
+            self.banks[index] = bank
+        return bank
+
     # -- refresh ---------------------------------------------------------------
     # Banks refresh in rotating groups (per-bank refresh as in HBM), so
     # at any instant only a fraction of the quadrant is unavailable and
     # bank-level parallelism hides most of the cost.  Ticks fire eagerly
     # only while requests are queued; a quiescent controller schedules
     # nothing and replays the missed ticks when the next request arrives
-    # (exact, because idle banks are never touched in between).
+    # (exact, because idle banks are never touched, nor created, in
+    # between).  Banks not yet created are refreshed through their
+    # group's shadow windows instead.
     REFRESH_GROUPS = 8
 
     def _refresh_tick(self, tick_ps: int) -> None:
         """Apply the refresh tick due at ``tick_ps`` and advance the due
         time.  ``bank.refresh`` starts at ``max(tick_ps, busy_until)``,
         so replaying a tick after its due time gives the same bank state
-        as applying it on time."""
+        as applying it on time; the group's shadow takes the same tick,
+        whatever the refresh duration is relative to the interval."""
         tech = self.timing.tech
-        groups = min(self.REFRESH_GROUPS, len(self.banks))
+        banks = self.banks
+        groups = len(self._shadow_array)
         group = self.refreshes % groups
         duration = tech.refresh_duration_ps
-        for index in range(group, len(self.banks), groups):
-            self.banks[index].refresh(tick_ps, duration)
+        self._shadow_array[group], self._shadow_buffer[group] = refreshed_windows(
+            self._shadow_array[group], self._shadow_buffer[group], tick_ps, duration
+        )
+        for index in range(group, len(banks), groups):
+            bank = banks[index]
+            if bank is not None:
+                bank.refresh(tick_ps, duration)
         self.refreshes += 1
         self._refresh_due_ps = tick_ps + tech.refresh_interval_ps // groups
 

@@ -43,7 +43,7 @@ class MemoryCube:
         self.config = cube_config
         self.router = router
         timing = TimingModel(tech)
-        banks_per_quadrant = max(1, int(cube_config.banks_per_quadrant * bank_scale))
+        banks_per_quadrant = cube_config.scaled_banks_per_quadrant(bank_scale)
         self.controllers: List[QuadrantController] = []
         for quadrant in range(cube_config.num_quadrants):
             inject = queue_cls(

@@ -26,14 +26,14 @@ def make_latency_histogram() -> Histogram:
 class LatencyBreakdown:
     """The Fig 5 decomposition: to-memory / in-memory / from-memory.
 
-    Each component keeps a Welford :class:`RunningStat` *and* a
-    fixed-width :class:`Histogram` (plus one for the end-to-end total),
-    so the breakdown reports tail percentiles alongside means.
+    Each component keeps one fixed-width :class:`Histogram` (plus one for
+    the end-to-end total), so the breakdown reports tail percentiles
+    alongside means.  A histogram carries its own Welford
+    :class:`RunningStat`; ``to_memory``, ``in_memory`` and
+    ``from_memory`` are read-only views of it, so every sample is folded
+    into one stat per component.
     """
 
-    to_memory: RunningStat = field(default_factory=RunningStat)
-    in_memory: RunningStat = field(default_factory=RunningStat)
-    from_memory: RunningStat = field(default_factory=RunningStat)
     to_memory_hist: Histogram = field(default_factory=make_latency_histogram)
     in_memory_hist: Histogram = field(default_factory=make_latency_histogram)
     from_memory_hist: Histogram = field(default_factory=make_latency_histogram)
@@ -43,9 +43,6 @@ class LatencyBreakdown:
         to_ps = txn.to_memory_ps
         in_ps = txn.in_memory_ps
         from_ps = txn.from_memory_ps
-        self.to_memory.add(to_ps)
-        self.in_memory.add(in_ps)
-        self.from_memory.add(from_ps)
         self.to_memory_hist.add(to_ps)
         self.in_memory_hist.add(in_ps)
         self.from_memory_hist.add(from_ps)
@@ -53,13 +50,22 @@ class LatencyBreakdown:
 
     def merge(self, other: "LatencyBreakdown") -> None:
         """Fold another breakdown into this one (multi-port composition)."""
-        self.to_memory.merge(other.to_memory)
-        self.in_memory.merge(other.in_memory)
-        self.from_memory.merge(other.from_memory)
         self.to_memory_hist.merge(other.to_memory_hist)
         self.in_memory_hist.merge(other.in_memory_hist)
         self.from_memory_hist.merge(other.from_memory_hist)
         self.total_hist.merge(other.total_hist)
+
+    @property
+    def to_memory(self) -> RunningStat:
+        return self.to_memory_hist.stat
+
+    @property
+    def in_memory(self) -> RunningStat:
+        return self.in_memory_hist.stat
+
+    @property
+    def from_memory(self) -> RunningStat:
+        return self.from_memory_hist.stat
 
     def percentile_ns(self, component: str, fraction: float) -> float:
         """Percentile (ns) of one component's latency distribution."""

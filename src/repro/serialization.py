@@ -135,6 +135,9 @@ def _hist_from_state(state: Dict[str, object]) -> Histogram:
 
 
 def _breakdown_to_state(breakdown: LatencyBreakdown) -> Dict[str, object]:
+    # The bare component stats duplicate each histogram's ``stat``; they
+    # stay in the layout so state bytes, digests and cache entries are
+    # unchanged, and the decoder reads only the histograms.
     return {
         "to_memory": _stat_to_state(breakdown.to_memory),
         "in_memory": _stat_to_state(breakdown.in_memory),
@@ -148,9 +151,6 @@ def _breakdown_to_state(breakdown: LatencyBreakdown) -> Dict[str, object]:
 
 def _breakdown_from_state(state: Dict[str, object]) -> LatencyBreakdown:
     return LatencyBreakdown(
-        to_memory=_stat_from_state(state["to_memory"]),
-        in_memory=_stat_from_state(state["in_memory"]),
-        from_memory=_stat_from_state(state["from_memory"]),
         to_memory_hist=_hist_from_state(state["to_memory_hist"]),
         in_memory_hist=_hist_from_state(state["in_memory_hist"]),
         from_memory_hist=_hist_from_state(state["from_memory_hist"]),

@@ -250,8 +250,9 @@ class MemoryNetworkSystem:
             cube_capacities=capacities,
             interleave_bytes=self.config.host.interleave_bytes,
             row_bytes=self.config.cube.row_bytes,
-            banks_per_stack=max(
-                1, int(self.config.cube.banks_per_stack * scale)
+            banks_per_stack=(
+                self.config.cube.scaled_banks_per_quadrant(scale)
+                * self.config.cube.num_quadrants
             ),
             num_quadrants=self.config.cube.num_quadrants,
         )
@@ -676,9 +677,7 @@ class MemoryNetworkSystem:
             extra["overload.stale_responses"] = float(port.stale_responses)
             extra["overload.peak_backlog"] = float(port.peak_backlog)
         obs = self.config.obs
-        if obs.attribution and (
-            obs.attribution_sample > 1 or obs.attribution_labels is not None
-        ):
+        if obs.attribution_narrowed:
             # Sampled/masked attribution accounting.  Keyed only when
             # the narrowing features are active so full-attribution and
             # attribution-off result digests are untouched.

@@ -59,6 +59,18 @@ def fast_workload(**overrides) -> WorkloadSpec:
     return WorkloadSpec(**defaults)
 
 
+def create_all_banks(*controllers) -> None:
+    """Build every bank of ``controllers`` up front.
+
+    Controllers create banks on first touch; this reproduces a controller
+    that builds them all at construction, the reference lazy banks must
+    match bit for bit.
+    """
+    for controller in controllers:
+        for index in range(len(controller.banks)):
+            controller.bank(index)
+
+
 def run_system(
     config: Optional[SystemConfig] = None,
     workload: Optional[WorkloadSpec] = None,

@@ -1,10 +1,13 @@
 """Tests for the quadrant memory controller."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.arbitration import ArbiterContext, RoundRobinArbiter
 from repro.config import PacketConfig, dram_tech, nvm_tech
 from repro.host.address_map import Location
+from repro.memory.bank import Bank
 from repro.memory.controller import QuadrantController
 from repro.memory.timing import TimingModel
 from repro.net.buffers import InputQueue
@@ -12,6 +15,8 @@ from repro.net.packet import Packet, PacketKind, Transaction
 from repro.net.router import LOCAL, LocalOutput, Router
 from repro.sim.engine import Engine
 from repro.units import ns
+
+from conftest import create_all_banks
 
 
 def make_request(bank=0, row=0, is_write=False, address=0):
@@ -187,3 +192,122 @@ class TestRefresh:
         h.controller.start_refresh(h.engine)
         h.engine.run(until=ns(100_000))
         assert h.controller.refreshes == 0
+
+
+# ---------------------------------------------------------------------------
+# Banks created on first touch
+# ---------------------------------------------------------------------------
+def bank_state(bank):
+    return (
+        bank.array_busy_until,
+        bank.buffer_busy_until,
+        bank.num_row_buffers,
+        list(bank._open_rows),
+        bank.accesses,
+        bank.row_hits,
+    )
+
+
+# A refresh longer than the spacing between ticks (interval / groups):
+# several groups are refreshing at once, and a bank created mid-refresh
+# must inherit the busy windows still running.
+LONG_REFRESH = replace(dram_tech(), refresh_duration_ps=ns(5_000))
+
+# (time ns, bank, row): bursts separated by idle gaps of several refresh
+# intervals, so the controller goes dormant and replays ticks on arrival.
+LAZY_SCENARIO = [
+    (50, 1, 3), (60, 1, 3), (70, 2, 0),
+    (3_000, 1, 4), (3_005, 0, 1),
+    (40_000, 2, 0), (40_001, 5, 7), (40_002, 9, 1),
+    (41_500, 14, 2),
+    (97_000, 3, 3), (97_010, 11, 3), (97_020, 1, 3),
+]
+
+
+def drive(harness):
+    controller = harness.controller
+    controller.start_refresh(harness.engine)
+    for at_ns, bank, row in LAZY_SCENARIO:
+        packet = make_request(bank=bank % len(controller.banks), row=row)
+        harness.engine.schedule_at(ns(at_ns), lambda engine, p=packet: harness.send(p))
+    harness.engine.run()
+
+
+LAZY_CASES = [
+    pytest.param(tech, num_banks, scheduling, id=f"{name}-{num_banks}-{scheduling}")
+    for name, tech in (("dram", dram_tech()), ("long-refresh", LONG_REFRESH))
+    for num_banks in (3, 16)
+    for scheduling in ("fcfs", "frfcfs")
+]
+
+
+class TestLazyBanks:
+    def test_banks_start_empty(self):
+        h = Harness(num_banks=16)
+        assert h.controller.banks == [None] * 16
+        bank = h.controller.bank(5)
+        assert h.controller.bank(5) is bank
+        assert sum(b is not None for b in h.controller.banks) == 1
+
+    @pytest.mark.parametrize("tech,num_banks,scheduling", LAZY_CASES)
+    def test_created_bank_equals_eagerly_refreshed_bank(
+        self, tech, num_banks, scheduling
+    ):
+        h = Harness(tech=tech, num_banks=num_banks, scheduling=scheduling)
+        controller = h.controller
+        created, replays = [], []
+        create = controller.bank
+
+        def spy_bank(index):
+            fresh = controller.banks[index] is None
+            bank = create(index)
+            if fresh:
+                created.append((index, controller.refreshes, bank_state(bank)))
+            return bank
+
+        receive = controller.receive
+
+        def spy_receive(engine, packet):
+            if not controller._refresh_armed and controller._refresh_due_ps <= engine.now:
+                replays.append(engine.now)
+            receive(engine, packet)
+
+        controller.bank = spy_bank
+        controller.receive = spy_receive
+        drive(h)
+        assert replays, "scenario must reach the dormant-replay path"
+        assert any(ticks > 1 for _, ticks, _ in created)
+
+        groups = min(QuadrantController.REFRESH_GROUPS, num_banks)
+        step = tech.refresh_interval_ps // groups
+        for index, ticks, state in created:
+            # The same bank built eagerly and refreshed by every tick of
+            # its group so far (tick n refreshes group n % groups).
+            reference = Bank(num_row_buffers=tech.row_buffers)
+            for n in range(ticks):
+                if n % groups == index % groups:
+                    reference.refresh(n * step, tech.refresh_duration_ps)
+            assert state == bank_state(reference), (index, ticks)
+
+    @pytest.mark.parametrize("tech,num_banks,scheduling", LAZY_CASES)
+    def test_lazy_controller_matches_eager_controller(
+        self, tech, num_banks, scheduling
+    ):
+        lazy = Harness(tech=tech, num_banks=num_banks, scheduling=scheduling)
+        eager = Harness(tech=tech, num_banks=num_banks, scheduling=scheduling)
+        create_all_banks(eager.controller)
+        drive(lazy)
+        drive(eager)
+        touched = {bank % num_banks for _, bank, _ in LAZY_SCENARIO}
+        assert {
+            i for i, b in enumerate(lazy.controller.banks) if b is not None
+        } == touched
+        assert [p.transaction.mem_depart_ps for p in lazy.sunk] == [
+            p.transaction.mem_depart_ps for p in eager.sunk
+        ]
+        assert lazy.controller.refreshes == eager.controller.refreshes
+        for index in range(num_banks):
+            # Untouched banks are created here, after every tick.
+            assert bank_state(lazy.controller.bank(index)) == bank_state(
+                eager.controller.banks[index]
+            ), index

@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.check import InvariantViolation
 from repro.config import ConfigError, ObsConfig, SystemConfig
 from repro.obs import TraceRecorder, UNATTRIBUTED
 from repro.obs.attribution import (
@@ -24,6 +25,7 @@ from repro.obs.attribution import (
     segment_code,
 )
 from repro.serialization import result_to_state
+from repro.system import MemoryNetworkSystem
 
 from conftest import fast_workload, run_system, small_config
 
@@ -226,6 +228,50 @@ class TestLabelMasks:
                 "req",
                 "resp",
             )
+
+
+# ---------------------------------------------------------------------------
+# Audits over narrowed attribution
+# ---------------------------------------------------------------------------
+NARROWINGS = [
+    pytest.param(dict(attribution_sample=8), id="sampled"),
+    pytest.param(dict(attribution_labels=("mem",)), id="masked"),
+    pytest.param(
+        dict(attribution_sample=4, attribution_labels=("req", "resp")),
+        id="sampled-masked",
+    ),
+]
+
+
+class TestAuditedNarrowing:
+    @pytest.mark.parametrize("narrowing", NARROWINGS)
+    def test_narrowed_run_passes_result_audit(self, narrowing):
+        # Sampled or masked segments cover part of the population the
+        # latency components are taken over; only the residual applies.
+        config = small_config().with_obs(attribution=True, **narrowing)
+        system, _ = run_system(config, requests=200, audit=True)
+        assert system.auditor.audits_run >= 1
+
+    def test_dropped_segment_caught_under_sampling(self):
+        config = small_config().with_obs(attribution=True, attribution_sample=8)
+        system = MemoryNetworkSystem(
+            config, fast_workload(), requests=200, audit=True
+        )
+        add = system.collector.add
+        dropped = []
+
+        def drop_longest_segment(txn):
+            if not dropped and txn.segments:
+                longest = max(txn.segments, key=lambda seg: seg[2] - seg[1])
+                txn.segments.remove(longest)
+                dropped.append(longest)
+            add(txn)
+
+        system.collector.add = drop_longest_segment
+        with pytest.raises(InvariantViolation) as excinfo:
+            system.run()
+        assert dropped and dropped[0][2] > dropped[0][1]
+        assert excinfo.value.invariants() == ["obs.attribution"]
 
 
 # ---------------------------------------------------------------------------

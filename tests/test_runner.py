@@ -9,6 +9,7 @@ in a worker process.  Equality is asserted on
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +118,28 @@ class TestResultStateRoundTrip:
         assert restored.row_hit_rate == result.row_hit_rate
         assert restored.energy.total_pj == result.energy.total_pj
         assert restored.collector.count == result.collector.count
+
+    def test_state_from_duplicate_stat_layout_decodes(self):
+        # A 24-request p2p run encoded when every latency component also
+        # kept its own RunningStat beside its histogram.  The layout, and
+        # so every digest and cache entry, is unchanged: the restored
+        # result re-encodes to the same state and the same digest.
+        path = Path(__file__).parent / "data" / "result_state_v4.json"
+        state = json.loads(path.read_text())
+        restored = result_from_state(state)
+        assert result_to_state(restored) == state
+        assert result_digest(restored) == (
+            "9353356375553952b6852d4cc455d72a000a505809ed0df34f1be3d011ab4fdc"
+        )
+        collector = restored.collector
+        assert collector.p2p > 0 and collector.writes > 0
+        for breakdown in (
+            collector.all,
+            collector.read_breakdown,
+            collector.write_breakdown,
+            collector.p2p_breakdown,
+        ):
+            assert breakdown.to_memory is breakdown.to_memory_hist.stat
 
     def test_version_mismatch_rejected(self, result):
         state = result_to_state(result)

@@ -6,13 +6,15 @@ first-order behaviours at reduced scale.
 
 import pytest
 
-from repro.config import HostConfig, SystemConfig
+from repro.config import HostConfig, SystemConfig, parse_label
 from repro.errors import SimulationError
+from repro.memory.controller import QuadrantController
 from repro.net.routing import RouteClass
+from repro.serialization import result_digest
 from repro.system import MemoryNetworkSystem, simulate
 from repro.units import GIB_BYTES, TIB_BYTES
 
-from conftest import fast_workload, small_config
+from conftest import create_all_banks, fast_workload, small_config
 
 
 def run(config=None, workload=None, requests=250):
@@ -196,3 +198,82 @@ class TestCapacityScaling:
         base_banks = len(next(iter(base.cubes.values())).controllers[0].banks)
         scaled_banks = len(next(iter(scaled.cubes.values())).controllers[0].banks)
         assert scaled_banks == base_banks // 2
+
+    @pytest.mark.parametrize("scale", [0.5, 0.1, 0.05, 0.01])
+    def test_address_map_decodes_only_built_banks(self, scale):
+        system = MemoryNetworkSystem(
+            small_config(capacity_scale=scale), fast_workload(), requests=1
+        )
+        cube = next(iter(system.cubes.values()))
+        banks_per_quadrant = len(cube.controllers[0].banks)
+        assert system.address_map.banks_per_stack == (
+            banks_per_quadrant * len(cube.controllers)
+        )
+        step = system.address_map.row_bytes
+        locations = [
+            system.address_map.decode(address)
+            for address in range(0, system.address_map.total_bytes, step)[:4096]
+        ]
+        assert max(loc.bank for loc in locations) == banks_per_quadrant - 1
+        assert {loc.quadrant for loc in locations} == set(range(len(cube.controllers)))
+
+
+def controllers_of(system):
+    return [c for cube in system.cubes.values() for c in cube.controllers]
+
+
+class TestLazyBanks:
+    """Banks are created on first touch, with results unchanged."""
+
+    # Sparse traffic: each controller sees requests separated by idle
+    # gaps of several refresh ticks, so it goes dormant and replays.
+    WORKLOAD = dict(mean_gap_ns=300.0, mlp=4)
+
+    def _system(self, capacity_scale):
+        config = parse_label("100%-C", small_config(capacity_scale=capacity_scale))
+        return MemoryNetworkSystem(
+            config, fast_workload(**self.WORKLOAD), requests=300
+        )
+
+    @pytest.mark.parametrize("capacity_scale", [1.0, 0.1])
+    def test_lazy_banks_match_banks_built_up_front(
+        self, capacity_scale, monkeypatch
+    ):
+        dormant_arrivals = []
+        receive = QuadrantController.receive
+
+        def spy_receive(self, engine, packet):
+            due = self._refresh_due_ps
+            if due is not None and not self._refresh_armed and due <= engine.now:
+                dormant_arrivals.append(engine.now)
+            receive(self, engine, packet)
+
+        monkeypatch.setattr(QuadrantController, "receive", spy_receive)
+        lazy = self._system(capacity_scale)
+        eager = self._system(capacity_scale)
+        create_all_banks(*controllers_of(eager))
+        if capacity_scale < 1.0:
+            assert len(controllers_of(lazy)[0].banks) < QuadrantController.REFRESH_GROUPS
+        assert result_digest(lazy.run()) == result_digest(eager.run())
+        assert dormant_arrivals, "workload must reach the dormant-replay path"
+
+    def test_created_banks_are_exactly_the_banks_served(self, monkeypatch):
+        served = set()
+        issue = QuadrantController._issue
+
+        def spy_issue(self, engine, packet, bank, row):
+            served.add((self.name, packet.location.bank))
+            issue(self, engine, packet, bank, row)
+
+        monkeypatch.setattr(QuadrantController, "_issue", spy_issue)
+        system = self._system(1.0)
+        system.run()
+        created = {
+            (controller.name, index)
+            for controller in controllers_of(system)
+            for index, bank in enumerate(controller.banks)
+            if bank is not None
+        }
+        total = sum(len(c.banks) for c in controllers_of(system))
+        assert created == served
+        assert len(created) < total // 4

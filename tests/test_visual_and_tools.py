@@ -109,6 +109,10 @@ class TestMultiPort:
         merged = result.merged_collector()
         assert merged.count == 200
         assert result.energy.total_pj > 0
+        breakdown = merged.all
+        assert breakdown.to_memory.count == breakdown.to_memory_hist.count == 200
+        assert breakdown.in_memory.count == breakdown.in_memory_hist.count == 200
+        assert breakdown.from_memory.count == breakdown.from_memory_hist.count == 200
 
 
 class TestCli:
