@@ -75,28 +75,42 @@ class WeightedDeficitMixin:
     Each arbitration round every candidate's counter grows by its
     weight; the largest counter wins and is reset.  Service frequency is
     therefore proportional to weight, with round-robin tie-breaking.
+
+    Mix in *before* :class:`OutputArbiter` so this :meth:`pick` wins;
+    subclasses supply only :meth:`candidate_weight`.
     """
 
     def __init__(self) -> None:
         self._deficit: Dict[int, float] = {}
         self._rr_pointer = 0
 
-    def weighted_pick(
-        self, candidates: List[Candidate], weights: List[float]
-    ) -> int:
+    def candidate_weight(self, index: int, packet: Packet) -> float:
+        """Weight of input ``index`` whose head is ``packet``."""
+        raise NotImplementedError
+
+    def pick(self, now_ps: int, candidates: List[Candidate]) -> int:
+        if len(candidates) == 1:
+            # Uncontended round: the loop below would grow the one
+            # counter and then reset it as the winner, so jump straight
+            # to that end state without computing a weight.
+            index = candidates[0][0]
+            self._deficit[index] = 0.0
+            self._rr_pointer = index + 1
+            return 0
+        deficits = self._deficit
+        pointer = self._rr_pointer
         best_pos = -1
         best_key: Tuple[float, int] = (float("-inf"), 0)
-        n = len(candidates)
-        for pos, ((index, _packet), weight) in enumerate(zip(candidates, weights)):
-            deficit = self._deficit.get(index, 0.0) + max(weight, 1e-9)
-            self._deficit[index] = deficit
+        for pos, (index, packet) in enumerate(candidates):
+            weight = self.candidate_weight(index, packet)
+            deficit = deficits.get(index, 0.0) + max(weight, 1e-9)
+            deficits[index] = deficit
             # tie-break: round-robin order after the last winner
-            rr_rank = -((index - self._rr_pointer) % 1024)
-            key = (deficit, rr_rank)
+            key = (deficit, -((index - pointer) % 1024))
             if key > best_key:
                 best_key = key
                 best_pos = pos
         winner_index = candidates[best_pos][0]
-        self._deficit[winner_index] = 0.0
+        deficits[winner_index] = 0.0
         self._rr_pointer = winner_index + 1
         return best_pos

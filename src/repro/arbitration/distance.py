@@ -16,17 +16,14 @@ latency into equivalent hops) and deprioritizes write-class traffic.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.arbitration.base import (
     ArbiterContext,
-    Candidate,
     OutputArbiter,
     WeightedDeficitMixin,
 )
 
 
-class DistanceArbiter(OutputArbiter, WeightedDeficitMixin):
+class DistanceArbiter(WeightedDeficitMixin, OutputArbiter):
     """Weighted round-robin with weight = topological distance."""
 
     name = "distance"
@@ -38,9 +35,8 @@ class DistanceArbiter(OutputArbiter, WeightedDeficitMixin):
     def weight_of(self, packet) -> float:
         return 1.0 + self.context.origin_distance(packet)
 
-    def pick(self, now_ps: int, candidates: List[Candidate]) -> int:
-        weights = [self.weight_of(packet) for _index, packet in candidates]
-        return self.weighted_pick(candidates, weights)
+    def candidate_weight(self, index: int, packet) -> float:
+        return self.weight_of(packet)
 
 
 class EnhancedDistanceArbiter(DistanceArbiter):

@@ -9,26 +9,19 @@ steady state of uniformly interleaved traffic) and use it in ablations.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.arbitration.base import (
     ArbiterContext,
-    Candidate,
     OutputArbiter,
     WeightedDeficitMixin,
 )
 
 
-class GlobalWeightedArbiter(OutputArbiter, WeightedDeficitMixin):
+class GlobalWeightedArbiter(WeightedDeficitMixin, OutputArbiter):
     name = "global_weighted"
 
     def __init__(self, context: ArbiterContext) -> None:
         OutputArbiter.__init__(self, context)
         WeightedDeficitMixin.__init__(self)
 
-    def pick(self, now_ps: int, candidates: List[Candidate]) -> int:
-        weights = [
-            float(self.context.subtree_weights.get(index, 1))
-            for index, _packet in candidates
-        ]
-        return self.weighted_pick(candidates, weights)
+    def candidate_weight(self, index: int, packet) -> float:
+        return float(self.context.subtree_weights.get(index, 1))

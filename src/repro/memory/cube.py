@@ -79,16 +79,14 @@ class MemoryCube:
         for controller in self.controllers:
             controller.start_refresh(engine)
 
-    def _quadrant_of(self, packet: Packet) -> int:
-        # packet.location mirrors transaction.location except on a
-        # P2P_XFER leg, which targets this (destination) cube's placement
-        return packet.location.quadrant
-
+    # Both read packet.location, which mirrors transaction.location
+    # except on a P2P_XFER leg: that one targets this (destination)
+    # cube's placement.
     def _accept(self, packet: Packet) -> bool:
-        return self.controllers[self._quadrant_of(packet)].can_accept()
+        return self.controllers[packet.location.quadrant].can_accept()
 
     def _deliver(self, engine: Engine, packet: Packet, input_index: int) -> None:
-        quadrant = self._quadrant_of(packet)
+        quadrant = packet.location.quadrant
         txn = packet.transaction
         if txn.mem_arrive_ps is None:
             txn.mem_arrive_ps = engine.now

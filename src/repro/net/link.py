@@ -57,14 +57,6 @@ class SharedChannel:
     def is_free(self, now_ps: int) -> bool:
         return now_ps >= self._busy_until
 
-    def occupy(self, engine: Engine, duration_ps: int) -> None:
-        if not self.is_free(engine.now):
-            raise SimulationError(f"channel {self.name} busy")
-        self._busy_until = engine.now + duration_ps
-        if self._waiting and not self._idle_armed:
-            self._idle_armed = True
-            engine.schedule_bound(duration_ps, self._became_idle)
-
     def wake_when_idle(self, engine: Engine, half: "Link") -> None:
         """A sender with a blocked head packet asks to be re-granted.
 
@@ -82,9 +74,9 @@ class SharedChannel:
 
     def _became_idle(self, engine: Engine) -> None:
         self._idle_armed = False
-        if not self.is_free(engine.now):
+        if engine.now < self._busy_until:
             # Someone re-occupied the channel at this exact instant and
-            # ran *before* this event, so its occupy saw the stale
+            # ran *before* this event, so its send saw the stale
             # armed flag and skipped scheduling.  Re-arm here or the
             # waiters sleep forever (the lost-wakeup race: a waiter
             # blocked on the busy channel is only ever woken by this
@@ -114,7 +106,7 @@ class SharedChannel:
         for half in waiting:
             half._waiting = False
         for position, half in enumerate(waiting):
-            if not self.is_free(engine.now):
+            if engine.now < self._busy_until:
                 # a packet took the channel; re-register the rest
                 for missed in waiting[position:]:
                     self.wake_when_idle(engine, missed)
@@ -275,7 +267,7 @@ class Link:
                 self.replays += replays
                 retry_ps = replays * (ser + faults.retry_penalty_ps)
                 occupy_ps += retry_ps
-        # Channel occupy, inlined (the busy guard must stay: send() is
+        # Channel occupation (the busy guard must stay: send() is
         # only reachable after can_send, but RAS quiesce re-kicks can
         # race a same-instant re-occupation).
         now = engine.now
@@ -311,7 +303,9 @@ class Link:
         engine.schedule_bound(arrival_delay, self._deliver, (packet,))
 
     def _deliver(self, engine: Engine, packet: Packet) -> None:
-        packet.advance()
+        # Packet.advance, inlined
+        packet.hop_index += 1
+        packet.hops_traversed += 1
         guard = self.route_guard
         if guard is not None and not guard(engine, packet, self):
             self.guard_drops += 1
@@ -328,5 +322,5 @@ class Link:
         # SerDes latency already dominates real credit-return time.
         # With nobody registered as waiting there is nothing to wake.
         channel = self.channel
-        if channel._waiting and channel.is_free(engine.now):
+        if channel._waiting and engine.now >= channel._busy_until:
             channel.grant(engine)

@@ -34,14 +34,9 @@ class OutputPort:
 
     def request_wakeup(self, engine: Engine) -> None:
         """A head packet is blocked on this port: arrange the one event
-        that can unblock it.  Default is a no-op — non-exclusive ports
-        are retried by their owner (the memory controller re-kicks the
+        that can unblock it.  Default is a no-op — local ports are
+        retried by their owner (the memory controller re-kicks the
         router when a slot frees)."""
-
-    @property
-    def exclusive(self) -> bool:
-        """True if one dispatch occupies the port (links serialize)."""
-        return False
 
 
 class LinkOutput(OutputPort):
@@ -67,17 +62,15 @@ class LinkOutput(OutputPort):
         # the channel's waiting set is the single wake-up registry.
         link.channel.wake_when_idle(engine, link)
 
-    @property
-    def exclusive(self) -> bool:
-        return True
-
 
 class LocalOutput(OutputPort):
     """Deliver packets into the node itself (cube memory / host sink).
 
     ``accept_fn(packet)`` checks buffer space; ``deliver_fn(engine,
     packet, input_index)`` performs the hand-off (and models any
-    intra-package penalty, e.g. wrong-quadrant routing).
+    intra-package penalty, e.g. wrong-quadrant routing).  The Python
+    router calls the two functions directly; ``can_accept`` and
+    ``dispatch`` are the port interface the compiled router calls.
     """
 
     __slots__ = ("accept_fn", "deliver_fn")
@@ -151,6 +144,13 @@ class Router:
     def add_output(self, key: int, port: OutputPort) -> None:
         if key in self.outputs:
             raise SimulationError(f"router {self.name}: duplicate output {key}")
+        if type(port) is not LinkOutput and not isinstance(port, LocalOutput):
+            # the arbitration loop calls a local port's accept_fn and
+            # deliver_fn directly
+            raise SimulationError(
+                f"router {self.name}: output {key} must be a LinkOutput "
+                f"or LocalOutput, not {type(port).__name__}"
+            )
         self.outputs[key] = port
         arbiter = self._arbiter_factory()
         self._arbiters[key] = arbiter
@@ -196,7 +196,9 @@ class Router:
         (the paper's deadlock-avoidance priority, Section 3.2).
         """
         for queue in self.inputs:
-            if queue.head_key == key and queue._items[0].is_resp:
+            # an empty deque under a matching key is a stale cache (see
+            # _try_output): skip it so the auditor can report it
+            if queue.head_key == key and queue._items and queue._items[0].is_resp:
                 return True
         return False
 
@@ -227,7 +229,10 @@ class Router:
         # chain (port.can_accept -> link.can_send -> channel.is_free ->
         # credit check) is loop-invariant across one arbitration round,
         # so it flattens to three attribute tests done once per round.
+        # Every other port is a LocalOutput (add_output enforces it),
+        # whose accept/deliver functions are called directly.
         port, arbiter, link = entry
+        accept = None if link is not None else port.accept_fn
         inputs = self.inputs
         grants = self.grants
         retry: Optional[List[int]] = None
@@ -241,15 +246,16 @@ class Router:
                 ):
                     # Blocked: if any head wants this output, sleep
                     # until the one transition that can unblock it
-                    # (channel idle / credit return) instead of polling.
-                    for queue in inputs:
-                        if queue.head_key == key:
-                            port.request_wakeup(engine)
-                            break
+                    # (channel idle / credit return) instead of polling
+                    # (LinkOutput.request_wakeup, inlined).
+                    if not link.dead:
+                        for queue in inputs:
+                            if queue.head_key == key:
+                                link.channel.wake_when_idle(engine, link)
+                                break
                     break
             candidates: List[Tuple[int, Packet]] = []
             resp_count = 0
-            demand = False
             for index, queue in enumerate(inputs):
                 if queue.head_key != key:
                     continue
@@ -261,19 +267,15 @@ class Router:
                     # / queue.accounting) instead of crashing here.
                     continue
                 head = items[0]
-                if link is None:
-                    demand = True
-                    if not port.can_accept(now, head):
-                        continue
+                if accept is not None and not accept(head):
+                    continue
                 candidates.append((index, head))
                 if head.is_resp:
                     resp_count += 1
             if not candidates:
-                if demand:
-                    # Blocked local output (controller slot full): the
-                    # owner re-kicks when a slot frees; registering is
-                    # a no-op but kept for port-type symmetry.
-                    port.request_wakeup(engine)
+                # Nothing eligible.  A blocked local output (controller
+                # slot full) needs no registration: its owner re-kicks
+                # the router when a slot frees.
                 break
             n_cand = len(candidates)
             if resp_count and resp_count != n_cand and self.response_priority:
@@ -295,7 +297,7 @@ class Router:
             if link is not None:
                 link.send(engine, packet)
             else:
-                port.dispatch(engine, packet, index)
+                port.deliver_fn(engine, packet, index)
             upstream = queue.upstream_link
             if upstream is not None:
                 upstream.return_credit(engine)

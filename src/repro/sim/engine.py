@@ -20,6 +20,7 @@ reaches runner worker processes.
 from __future__ import annotations
 
 import os
+import sys
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -34,6 +35,9 @@ SCHEDULERS = ("heap", "native")
 ENGINE_ENV = "REPRO_ENGINE"
 
 _NO_ARGS: tuple = ()
+
+#: Event limit of a run without ``max_events``: never reached.
+_NO_LIMIT = sys.maxsize
 
 
 def backend_status() -> str:
@@ -78,6 +82,12 @@ def _ambient_native_fallback() -> None:
         "falling back to the 'heap' scheduler — " + BUILD_HINT,
         RuntimeWarning,
         stacklevel=3,
+    )
+
+
+def _limit_error(max_events: int, now: int) -> SimulationError:
+    return SimulationError(
+        f"event limit {max_events} exceeded at t={now}; likely livelock"
     )
 
 
@@ -181,7 +191,9 @@ class Engine:
         """Schedule ``callback(engine, *args)`` after ``delay`` ps."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay} scheduled at t={self.now}")
-        self._push(self.now + delay, callback, args)
+        heappush(self._heap, (self.now + delay, self._seq, callback, args))
+        self._seq += 1
+        self._pending += 1
 
     def schedule_at(self, time: int, callback: Callable, *args: Any) -> None:
         """Schedule ``callback(engine, *args)`` at absolute ``time`` ps."""
@@ -189,7 +201,9 @@ class Engine:
             raise SimulationError(
                 f"event scheduled in the past: t={time} < now={self.now}"
             )
-        self._push(time, callback, args)
+        heappush(self._heap, (time, self._seq, callback, args))
+        self._seq += 1
+        self._pending += 1
 
     def schedule_bound(
         self, delay: int, callback: Callable, args: tuple = _NO_ARGS
@@ -201,10 +215,7 @@ class Engine:
         tuples instead of having them re-packed per call.  Callers must
         guarantee ``delay >= 0``.
         """
-        self._push(self.now + delay, callback, args)
-
-    def _push(self, time: int, callback: Callable, args: tuple) -> None:
-        heappush(self._heap, (time, self._seq, callback, args))
+        heappush(self._heap, (self.now + delay, self._seq, callback, args))
         self._seq += 1
         self._pending += 1
 
@@ -225,7 +236,10 @@ class Engine:
             Absolute time bound (inclusive).  Events scheduled later stay
             queued and ``now`` advances to ``until``.
         max_events:
-            Safety valve against runaway simulations.
+            Safety valve against runaway simulations: raises once this
+            many events ran and work that would run is still queued (a
+            budget that is reached exactly, or that ends in a stop
+            request, is not exceeded).
         stop_when:
             Optional predicate checked after every event; the run stops
             as soon as it returns True.
@@ -234,12 +248,13 @@ class Engine:
         """
         if self._tracer is not None:
             return self._run_traced(until, max_events, stop_when)
-        if until is not None or max_events is not None or stop_when is not None:
+        if until is not None or stop_when is not None:
             return self._run_bounded(until, max_events, stop_when)
-        # Fast path: run the queue dry with no per-event bound checks.
-        # This loop dominates every simulation's wall-clock time, so the
-        # heap and heappop are bound to locals (callbacks push into the
-        # same list, never swap it).
+        # Fast path: run the queue dry, checking only the stop latch and
+        # the event limit.  This loop dominates every simulation's
+        # wall-clock time, so the heap and heappop are bound to locals
+        # (callbacks push into the same list, never swap it).
+        limit = _NO_LIMIT if max_events is None else max_events
         processed = 0
         pop = heappop
         heap = self._heap
@@ -253,6 +268,8 @@ class Engine:
                 if self._stop:
                     self._stop = False
                     break
+                if processed >= limit and heap:
+                    raise _limit_error(max_events, time)
             return processed
         finally:
             self._pending -= processed
@@ -268,7 +285,7 @@ class Engine:
         processed = 0
         pop = heappop
         bounded = until is not None
-        limited = max_events is not None
+        limit = _NO_LIMIT if max_events is None else max_events
         heap = self._heap
         self._running = True
         try:
@@ -284,19 +301,17 @@ class Engine:
                 self.now = time
                 callback(self, *args)
                 processed += 1
-                if limited and processed >= max_events:
-                    self._pending -= processed
-                    self._events_processed += processed
-                    processed = 0  # flushed; avoid double-count in finally
-                    raise SimulationError(
-                        f"event limit {max_events} exceeded at t={self.now}; "
-                        "likely livelock"
-                    )
                 if stop_when is not None and stop_when():
                     return processed
                 if self._stop:
                     self._stop = False
                     return processed
+                if (
+                    processed >= limit
+                    and heap
+                    and not (bounded and heap[0][0] > until)
+                ):
+                    raise _limit_error(max_events, time)
         finally:
             self._pending -= processed
             self._events_processed += processed
@@ -318,7 +333,7 @@ class Engine:
         pop = heappop
         heap = self._heap
         bounded = until is not None
-        limited = max_events is not None
+        limit = _NO_LIMIT if max_events is None else max_events
         self._running = True
         try:
             while True:
@@ -336,19 +351,17 @@ class Engine:
                 )
                 callback(self, *args)
                 processed += 1
-                if limited and processed >= max_events:
-                    self._pending -= processed
-                    self._events_processed += processed
-                    processed = 0  # flushed; avoid double-count in finally
-                    raise SimulationError(
-                        f"event limit {max_events} exceeded at t={self.now}; "
-                        "likely livelock"
-                    )
                 if stop_when is not None and stop_when():
                     return processed
                 if self._stop:
                     self._stop = False
                     return processed
+                if (
+                    processed >= limit
+                    and heap
+                    and not (bounded and heap[0][0] > until)
+                ):
+                    raise _limit_error(max_events, time)
         finally:
             self._pending -= processed
             self._events_processed += processed

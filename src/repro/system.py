@@ -14,7 +14,8 @@ load.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.arbitration import ArbiterContext, make_arbiter_factory
 from repro.config import SystemConfig
@@ -200,27 +201,16 @@ class MemoryNetworkSystem:
                 link = Link(f"{src}->{dst}", link_config, queue, channel=shared)
                 src_router = self._routers[src]
                 src_router.add_output(dst, LinkOutput(link))
-                link.on_idle = self._make_output_ready(src_router, dst)
+                # Called directly, never scheduled: the traced engine
+                # loop labels events by __qualname__, which a partial
+                # lacks.
+                link.on_idle = partial(src_router._try_output, key=dst)
                 link.on_delivery = dst_router.packet_arrived
-                link.sender_has_response_head = self._make_response_peek(
-                    src_router, dst
+                link.sender_has_response_head = partial(
+                    src_router.has_response_head, dst
                 )
                 self._link_by_pair[(src, dst)] = link
                 self._links.append((link, edge.link_kind))
-
-    @staticmethod
-    def _make_response_peek(router: Router, key: int) -> Callable[[], bool]:
-        def peek() -> bool:
-            return router.has_response_head(key)
-
-        return peek
-
-    @staticmethod
-    def _make_output_ready(router: Router, key: int) -> Callable[[Engine], None]:
-        def callback(engine: Engine) -> None:
-            router.output_ready(engine, key)
-
-        return callback
 
     def _fill_subtree_weights(self) -> None:
         """Static weights for the global-weighted arbiter ablation."""

@@ -10,7 +10,7 @@ import pytest
 from repro.config import HostConfig, SystemConfig
 from repro.results import SimResult
 from repro.serialization import result_digest
-from repro.sim import native
+from repro.sim import native, native_build
 from repro.sim.engine import Engine
 from repro.system import MemoryNetworkSystem
 from repro.units import GIB_BYTES
@@ -28,10 +28,31 @@ if importlib.util.find_spec("pytest_timeout") is None:
         )
 
 
+def _build_native() -> str:
+    """Build the compiled engine unless its artifact is fresh.
+
+    Returns why the native backend is unusable, or ``""`` when it is
+    usable.  Runs at import, before anything calls
+    ``native.available()``: the loader caches an import failure, so a
+    build after the first probe would not be seen.
+    """
+    try:
+        native_build.build(quiet=True)
+    except RuntimeError as exc:
+        return str(exc)
+    if not native.available():
+        return "compiled engine built but not importable: " + native._import_error
+    return ""
+
+
+#: Why native tests skip here (the compiler's error), or "" when the
+#: compiled engine is built and importable.
+NATIVE_SKIP_REASON = _build_native()
+
 #: Scheduler backends usable here: the heap oracle always, plus the
-#: compiled engine when it is built (cross-engine tests run every leg
-#: in this tuple, so the native leg skips cleanly without the build).
-BUILT_SCHEDULERS = ("heap", "native") if native.available() else ("heap",)
+#: compiled engine when it builds (cross-engine tests run every leg in
+#: this tuple, so the native leg is absent only without a compiler).
+BUILT_SCHEDULERS = ("heap",) if NATIVE_SKIP_REASON else ("heap", "native")
 
 
 def small_config(**overrides) -> SystemConfig:

@@ -1,6 +1,8 @@
 """Tests for the arbitration schemes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arbitration import (
     AgeArbiter,
@@ -151,3 +153,102 @@ class TestFactory:
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError):
             make_arbiter_factory("coin_flip", context())
+
+
+# ---------------------------------------------------------------------------
+# The single-candidate shortcut against the general deficit loop
+# ---------------------------------------------------------------------------
+class ReferenceDeficit:
+    """The general deficit loop, as every weighted arbiter ran it for
+    every round (single-candidate rounds included) before the shortcut
+    in ``WeightedDeficitMixin.pick``."""
+
+    def __init__(self, weight):
+        self.weight = weight  # (input index, packet) -> float
+        self.deficit = {}
+        self.rr_pointer = 0
+
+    def pick(self, candidates):
+        best_pos = -1
+        best_key = (float("-inf"), 0)
+        for pos, (index, packet) in enumerate(candidates):
+            deficit = self.deficit.get(index, 0.0) + max(
+                self.weight(index, packet), 1e-9
+            )
+            self.deficit[index] = deficit
+            rr_rank = -((index - self.rr_pointer) % 1024)
+            key = (deficit, rr_rank)
+            if key > best_key:
+                best_key = key
+                best_pos = pos
+        winner = candidates[best_pos][0]
+        self.deficit[winner] = 0.0
+        self.rr_pointer = winner + 1
+        return best_pos
+
+
+def _origin(packet):
+    return packet.src if packet.is_resp else packet.dest
+
+
+def _reference_weight(arbiter_cls, ctx):
+    """Weight formulas restated from the paper's schemes, independent
+    of the arbiters' own weight code."""
+    if arbiter_cls is GlobalWeightedArbiter:
+        return lambda index, packet: float(ctx.subtree_weights.get(index, 1))
+
+    def weight(index, packet):
+        value = 1.0 + ctx.distance_to_host.get(_origin(packet), 0)
+        if arbiter_cls is EnhancedDistanceArbiter:
+            if ctx.tech_of_node.get(_origin(packet)) == "NVM":
+                value += ctx.nvm_bonus_hops
+            if packet.kind.is_write_class:
+                value *= ctx.write_weight_factor
+        return value
+
+    return weight
+
+
+NODES = range(8)
+INPUTS = range(12)
+
+candidate_specs = st.tuples(
+    st.sampled_from(INPUTS),  # input index
+    st.sampled_from(NODES),  # packet src
+    st.sampled_from(NODES),  # packet dest
+    st.sampled_from(list(PacketKind)),
+)
+rounds_strategy = st.lists(
+    st.lists(candidate_specs, min_size=1, max_size=5, unique_by=lambda c: c[0]),
+    min_size=1,
+    max_size=40,
+)
+context_strategy = st.builds(
+    ArbiterContext,
+    distance_to_host=st.fixed_dictionaries({n: st.integers(0, 6) for n in NODES}),
+    tech_of_node=st.fixed_dictionaries(
+        {n: st.sampled_from(["DRAM", "NVM"]) for n in NODES}
+    ),
+    nvm_bonus_hops=st.sampled_from([0.0, 1.5, 4.0]),
+    write_weight_factor=st.sampled_from([0.25, 1.0]),
+    subtree_weights=st.dictionaries(st.sampled_from(INPUTS), st.integers(0, 15)),
+)
+
+
+@pytest.mark.parametrize(
+    "arbiter_cls",
+    [DistanceArbiter, EnhancedDistanceArbiter, GlobalWeightedArbiter],
+)
+@settings(max_examples=150, deadline=None)
+@given(ctx=context_strategy, rounds=rounds_strategy)
+def test_weighted_pick_matches_reference_loop(arbiter_cls, ctx, rounds):
+    arbiter = arbiter_cls(ctx)
+    reference = ReferenceDeficit(_reference_weight(arbiter_cls, ctx))
+    for specs in rounds:
+        candidates = [
+            (index, Packet(kind, 0, src, dest, 128, 0))
+            for index, src, dest, kind in specs
+        ]
+        assert arbiter.pick(0, candidates) == reference.pick(candidates)
+        assert arbiter._deficit == reference.deficit
+        assert arbiter._rr_pointer == reference.rr_pointer

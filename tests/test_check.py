@@ -24,7 +24,13 @@ from repro.serialization import result_digest
 from repro.sim.engine import Engine
 from repro.system import MemoryNetworkSystem
 
-from conftest import fast_workload, run_sim, run_system, small_config
+from conftest import (
+    BUILT_SCHEDULERS,
+    fast_workload,
+    run_sim,
+    run_system,
+    small_config,
+)
 
 
 def _audited_system(config=None, requests=120):
@@ -186,6 +192,69 @@ class TestInjectedDefects:
         with pytest.raises(InvariantViolation) as excinfo:
             system.run()
         assert "queue.accounting" in excinfo.value.invariants()
+
+    @staticmethod
+    def _empty_behind_pop(queue):
+        # Bypass pop(): the deque empties but head_key keeps its value.
+        items = queue._items
+        if hasattr(items, "popleft"):
+            items.clear()
+            queue._entry_times.clear()
+        else:
+            del items[:]  # native C queue: _items is a plain list
+
+    @pytest.mark.parametrize("scheduler", BUILT_SCHEDULERS)
+    def test_stale_head_key_reported_not_crashed(self, scheduler):
+        # A shared channel with both directions waiting re-arbitrates
+        # through has_response_head when it goes idle.  A sender queue
+        # whose head_key outlived its packets must be skipped there (as
+        # _try_output skips it), so the auditor can name the defect
+        # instead of an IndexError escaping the event loop.
+        system = MemoryNetworkSystem(
+            small_config(),
+            fast_workload(),
+            requests=120,
+            audit=True,
+            engine=Engine(scheduler),
+        )
+        emptied = []
+        granted = []
+
+        def after_idle(engine, channel, waiting):
+            # Runs after the channel's idle event at this instant.
+            granted.append(channel._waiting is not waiting)
+            system.auditor.audit("stale-grant")
+
+        def inject(engine):
+            for (src, dst), link in system._link_by_pair.items():
+                channel = link.channel
+                if not link._waiting or len(channel._waiting) < 2:
+                    continue
+                router = system._routers[src]
+                stale = [q for q in router.inputs if q.head_key == dst and len(q)]
+                if not stale or channel._busy_until <= engine.now:
+                    continue
+                for queue in stale:
+                    self._empty_behind_pop(queue)
+                    emptied.append(queue.name)
+                engine.schedule_at(
+                    channel._busy_until, after_idle, channel, channel._waiting
+                )
+                return
+            engine.schedule(1_000, inject)
+
+        system.engine.schedule(0, inject)
+        with pytest.raises(InvariantViolation) as excinfo:
+            system.run()
+        assert emptied, "no shared channel ever had two waiters"
+        assert granted == [True]
+        assert excinfo.value.context["point"] == "stale-grant"
+        stale_queues = {
+            component
+            for name, component, _ in excinfo.value.violations
+            if name == "queue.head_key"
+        }
+        assert stale_queues == set(emptied)
 
     def _finished_heap_system(self):
         # White-box: reaches into the Python heap, so pin the heap

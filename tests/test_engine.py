@@ -11,7 +11,7 @@ from repro.experiments.__main__ import main as experiments_main
 from repro.sim.engine import Engine
 from repro.system import MemoryNetworkSystem
 
-from conftest import fast_workload, small_config
+from conftest import BUILT_SCHEDULERS, fast_workload, small_config
 
 
 def test_initial_state():
@@ -208,6 +208,83 @@ def test_max_events_accumulates_across_successful_runs():
         engine.schedule(engine.now + 1 + t, lambda eng: None)
     engine.run(max_events=100)
     assert engine.events_processed == 5
+
+
+class _EventLog:
+    """Minimal tracer: records the label of every dispatched event."""
+
+    def __init__(self):
+        self.labels = []
+
+    def engine_event(self, time, label):
+        self.labels.append(label)
+
+
+def _budgeted_run(engine, loop, max_events):
+    """Run under ``max_events`` through one of the dispatch loops."""
+    if loop == "fast":
+        return engine.run(max_events=max_events)
+    if loop == "until":
+        return engine.run(until=10**12, max_events=max_events)
+    if loop == "stop_when":
+        return engine.run(stop_when=lambda: False, max_events=max_events)
+    engine.set_tracer(_EventLog())
+    return engine.run(max_events=max_events)
+
+
+BUDGET_LOOPS = ("fast", "until", "stop_when", "traced")
+
+
+class TestEventBudget:
+    """``max_events`` raises only when the budget is *exceeded*: the
+    N-th event must leave queued work that would run, with no stop
+    requested.  Same contract on every loop and backend."""
+
+    @pytest.mark.parametrize("loop", BUDGET_LOOPS)
+    @pytest.mark.parametrize("scheduler", BUILT_SCHEDULERS)
+    def test_budget_reached_by_draining_does_not_raise(self, scheduler, loop):
+        engine = Engine(scheduler)
+        for t in range(3):
+            engine.schedule(t, lambda eng: None)
+        assert _budgeted_run(engine, loop, 3) == 3
+        assert engine.events_processed == 3
+        assert engine.pending == 0
+
+    @pytest.mark.parametrize("loop", BUDGET_LOOPS)
+    @pytest.mark.parametrize("scheduler", BUILT_SCHEDULERS)
+    def test_stop_on_last_budgeted_event_stops(self, scheduler, loop):
+        engine = Engine(scheduler)
+        for t in range(5):
+            engine.schedule(
+                t, (lambda eng: eng.request_stop()) if t == 2 else (lambda eng: None)
+            )
+        assert _budgeted_run(engine, loop, 3) == 3
+        assert engine.events_processed == 3
+        assert engine.pending == 2
+        assert engine.now == 2
+
+    @pytest.mark.parametrize("loop", BUDGET_LOOPS)
+    @pytest.mark.parametrize("scheduler", BUILT_SCHEDULERS)
+    def test_budget_exceeded_raises_after_n_events(self, scheduler, loop):
+        engine = Engine(scheduler)
+
+        def rescheduling(eng):
+            eng.schedule(1, rescheduling)
+
+        engine.schedule(0, rescheduling)
+        with pytest.raises(SimulationError, match="event limit 5 exceeded"):
+            _budgeted_run(engine, loop, 5)
+        assert engine.events_processed == 5
+        assert engine.pending == 1
+
+    @pytest.mark.parametrize("scheduler", BUILT_SCHEDULERS)
+    def test_budget_reached_with_work_past_until_does_not_raise(self, scheduler):
+        engine = Engine(scheduler)
+        for t in (1, 2, 50):
+            engine.schedule(t, lambda eng: None)
+        assert engine.run(until=10, max_events=2) == 2
+        assert engine.now == 10
+        assert engine.pending == 1
 
 
 def test_run_until_in_past_does_not_rewind_clock():

@@ -1,7 +1,8 @@
 """Compiled scheduler backend (``Engine("native")``) and dispatch errors.
 
-The native engine is an optional in-tree C extension; every test that
-needs it skips cleanly when it is not built.  Dispatch-error tests run
+The native engine is an optional in-tree C extension; conftest builds
+it when a compiler exists, and every test that needs it skips with the
+compiler's error when the build fails.  Dispatch-error tests run
 everywhere: an unknown backend name must fail loudly with an error that
 names the valid backends (``heap`` and ``native``) and whether the
 compiled one is usable on this machine.
@@ -29,10 +30,12 @@ from repro.net.packet import Packet, PacketKind
 from repro.sim import native
 from repro.sim.engine import Engine, backend_status, default_scheduler
 
-from conftest import fast_workload, sim_digest, small_config
+from conftest import NATIVE_SKIP_REASON, fast_workload, sim_digest, small_config
 
+# conftest builds the extension when a compiler exists; a skip carries
+# the compiler's error.
 needs_native = pytest.mark.skipif(
-    not native.available(), reason="compiled engine not built"
+    bool(NATIVE_SKIP_REASON), reason=NATIVE_SKIP_REASON or "native built"
 )
 
 GOLDENS = Path(__file__).parent / "goldens"

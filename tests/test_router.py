@@ -8,7 +8,7 @@ from repro.errors import SimulationError
 from repro.net.buffers import InputQueue
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
-from repro.net.router import LOCAL, LinkOutput, LocalOutput, Router
+from repro.net.router import LOCAL, LinkOutput, LocalOutput, OutputPort, Router
 from repro.sim.engine import Engine
 
 
@@ -156,6 +156,18 @@ class TestResponsePeek:
         assert router.has_response_head(1)
         assert not router.has_response_head(2)
 
+    def test_has_response_head_skips_stale_empty_queue(self):
+        router = make_router()
+        stale, live = InputQueue("stale", 4), InputQueue("live", 4)
+        router.add_input(stale)
+        router.add_input(live)
+        stale.push(make_packet(PacketKind.READ_RESP, [0, 1]))
+        stale._items.clear()  # emptied behind pop()'s back: head_key stays 1
+        assert stale.head_key == 1
+        assert not router.has_response_head(1)
+        live.push(make_packet(PacketKind.READ_RESP, [0, 1]))
+        assert router.has_response_head(1)
+
 
 class TestConstruction:
     def test_duplicate_output_rejected(self):
@@ -163,6 +175,17 @@ class TestConstruction:
         router.add_output(1, LocalOutput(lambda p: True, lambda e, p, i: None))
         with pytest.raises(SimulationError):
             router.add_output(1, LocalOutput(lambda p: True, lambda e, p, i: None))
+
+    def test_other_port_types_rejected(self):
+        # the arbitration loop calls a local port's accept_fn and
+        # deliver_fn directly, so every non-link port is a LocalOutput
+        class CustomPort(OutputPort):
+            __slots__ = ()
+
+        router = make_router()
+        with pytest.raises(SimulationError, match="LinkOutput or LocalOutput"):
+            router.add_output(1, CustomPort())
+        assert 1 not in router.outputs
 
     def test_input_indices_stable(self):
         router = make_router()
