@@ -21,13 +21,13 @@ def test_fig05_latency_breakdown(benchmark, bench_requests):
     # Network latency (to+from) exceeds in-memory latency under load
     # for the chain on the heavy workloads.
     chain = breakdown["KMEANS"]["100%-C"]
-    network = chain["to_memory_ns"] + chain["from_memory_ns"]
-    assert network > chain["in_memory_ns"]
+    network = chain["to_memory"] + chain["from_memory"]
+    assert network > chain["in_memory"]
     # NW (lowest load) has the largest in-memory share of the suite.
     def in_share(wl):
         row = breakdown[wl]["100%-C"]
-        total = row["to_memory_ns"] + row["in_memory_ns"] + row["from_memory_ns"]
-        return row["in_memory_ns"] / total
+        total = row["to_memory"] + row["in_memory"] + row["from_memory"]
+        return row["in_memory"] / total
 
     assert in_share("NW") >= max(in_share(w) for w in breakdown) - 1e-9
 

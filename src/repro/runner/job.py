@@ -57,6 +57,34 @@ def _is_default(f: Any, value: Any) -> bool:
     return False
 
 
+#: Leaf types returned as-is.  Matched on the *exact* type, so
+#: subclasses (an ``IntEnum`` member is an ``int``) take the general
+#: branches below exactly as they always have.
+_LEAF_TYPES = frozenset({bool, int, float, str, type(None)})
+
+
+class _Plan:
+    """How one dataclass type canonicalizes, built once per type.
+
+    ``fields`` pairs each field name, in definition order, with its
+    :class:`dataclasses.Field` when the field is digest-transparent (so
+    its default must be checked) and ``None`` otherwise.
+    """
+
+    __slots__ = ("name", "fields")
+
+    def __init__(self, cls: type) -> None:
+        self.name = cls.__name__
+        transparent = _DIGEST_TRANSPARENT.get(self.name, ())
+        self.fields = tuple(
+            (f.name, f if f.name in transparent else None) for f in fields(cls)
+        )
+
+
+#: ``{dataclass type: plan}``, filled on first sight of each type.
+_PLANS: Dict[type, _Plan] = {}
+
+
 def canonical_tree(value: Any) -> Any:
     """Reduce a dataclass tree to canonical JSON-able primitives.
 
@@ -64,14 +92,24 @@ def canonical_tree(value: Any) -> Any:
     sorted, so two structurally equal values always canonicalize to the
     same tree no matter how (or in what order) they were built.
     """
-    if is_dataclass(value) and not isinstance(value, type):
-        transparent = _DIGEST_TRANSPARENT.get(type(value).__name__, ())
-        tree: Dict[str, Any] = {"__class__": type(value).__name__}
-        for f in fields(value):
-            field_value = getattr(value, f.name)
-            if f.name in transparent and _is_default(f, field_value):
+    cls = type(value)
+    if cls in _LEAF_TYPES:
+        return value
+    plan = _PLANS.get(cls)
+    if plan is None and is_dataclass(value) and not isinstance(value, type):
+        plan = _PLANS[cls] = _Plan(cls)
+    if plan is not None:
+        tree: Dict[str, Any] = {"__class__": plan.name}
+        for name, transparent in plan.fields:
+            field_value = getattr(value, name)
+            if transparent is not None and _is_default(transparent, field_value):
                 continue
-            tree[f.name] = canonical_tree(field_value)
+            # Most fields are leaves: skip the call for them.
+            tree[name] = (
+                field_value
+                if type(field_value) in _LEAF_TYPES
+                else canonical_tree(field_value)
+            )
         return tree
     if isinstance(value, dict):
         return {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 
@@ -161,9 +162,7 @@ class Histogram:
                 f"{self.bucket_width}x{len(self.buckets)} vs "
                 f"{other.bucket_width}x{len(other.buckets)}"
             )
-        for i, n in enumerate(other.buckets):
-            if n:
-                self.buckets[i] += n
+        self.buckets = list(map(operator.add, self.buckets, other.buckets))
         self.underflow += other.underflow
         self.overflow += other.overflow
         self.stat.merge(other.stat)
@@ -246,9 +245,7 @@ class TailAccumulator:
             # pin the fleet to its (arbitrary) bucket geometry either.
             return
         self._adopt_or_check(hist.bucket_width, len(hist.buckets))
-        for i, n in enumerate(hist.buckets):
-            if n:
-                self.buckets[i] += n
+        self.buckets = list(map(operator.add, self.buckets, hist.buckets))
         self.underflow += hist.underflow
         self.overflow += hist.overflow
         self.count += hist.stat.count
@@ -259,9 +256,7 @@ class TailAccumulator:
         if other.count == 0:
             return
         self._adopt_or_check(other.bucket_width, len(other.buckets))
-        for i, n in enumerate(other.buckets):
-            if n:
-                self.buckets[i] += n
+        self.buckets = list(map(operator.add, self.buckets, other.buckets))
         self.underflow += other.underflow
         self.overflow += other.overflow
         self.count += other.count

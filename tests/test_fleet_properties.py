@@ -1,10 +1,12 @@
 """Property-based tests (hypothesis) on the fleet aggregation layer.
 
-Three families, matching the fleet determinism contract:
+Four families, matching the fleet determinism contract:
 
 * fold-order invariance — folding the same histograms through any
   partition of :class:`TailAccumulator`\\ s, merged in any order,
   yields bit-identical state;
+* bucket folds — the C-level bucket additions equal a per-bucket loop,
+  never alias the source's buckets, and keep the shape rules;
 * percentile sanity — percentiles are monotone in the requested
   fraction, and adding load at/above the current tail never lowers it;
 * conservation — counters and shard apportionment are exactly
@@ -13,11 +15,17 @@ Three families, matching the fleet determinism contract:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import FleetConfig, Tenant
-from repro.sim.stats import CounterBag, Histogram, TailAccumulator
+from repro.sim.stats import (
+    CounterBag,
+    Histogram,
+    HistogramShapeError,
+    TailAccumulator,
+)
 
 from conftest import fast_workload, small_config
 
@@ -85,6 +93,77 @@ def test_tail_accumulator_matches_single_histogram(values):
     # two can differ in the last ulp, which is exactly why the
     # accumulator carries the exact integer-valued total instead.
     assert acc.mean == hist.stat.total / hist.count
+
+
+# --- bucket folds ----------------------------------------------------------
+def _reference_fold(buckets, other):
+    """Per-bucket loop: what the folds computed before they went C-level."""
+    out = list(buckets)
+    for i, n in enumerate(other):
+        if n:
+            out[i] += n
+    return out
+
+
+@given(st.lists(samples, min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_bucket_folds_equal_per_bucket_loop(shards):
+    hists = [_histogram(values) for values in shards]
+    expected = [0] * len(hists[0].buckets)
+    acc, merged = TailAccumulator(), _histogram([])
+    for hist in hists:
+        expected = _reference_fold(expected, hist.buckets)
+        acc.fold(hist)
+        merged.merge(hist)
+        assert acc.buckets == expected
+        assert merged.buckets == expected
+    whole = TailAccumulator()
+    whole.merge(acc)
+    assert whole.buckets == expected
+    assert all(type(n) is int for n in whole.buckets)
+
+
+def test_fold_does_not_alias_source_buckets():
+    source = _histogram([50, 150, 150])
+    acc = TailAccumulator()
+    acc.fold(source)
+    into = TailAccumulator()
+    into.merge(acc)
+    hist = _histogram([])
+    hist.merge(source)
+    before = list(acc.buckets)
+    source.buckets[1] += 5
+    acc.buckets[0] += 7
+    assert acc.buckets == [before[0] + 7] + before[1:]
+    assert into.buckets == before
+    assert hist.buckets == before
+
+
+def test_fold_shape_mismatch_still_raises():
+    acc = TailAccumulator()
+    acc.fold(_histogram([10]))
+    for other in (
+        _histogram([10], bucket_width=50.0),
+        _histogram([10], num_buckets=8),
+    ):
+        with pytest.raises(HistogramShapeError):
+            acc.fold(other)
+        with pytest.raises(HistogramShapeError):
+            _histogram([10]).merge(other)
+    wider = TailAccumulator()
+    wider.fold(_histogram([10], num_buckets=8))
+    with pytest.raises(HistogramShapeError):
+        acc.merge(wider)
+
+
+def test_empty_fold_keeps_accumulator_shapeless():
+    acc = TailAccumulator()
+    acc.fold(_histogram([], bucket_width=7.0, num_buckets=3))
+    acc.merge(TailAccumulator())
+    assert not acc.shaped and acc.buckets == []
+    # The first non-empty histogram still sets the shape.
+    acc.fold(_histogram([10]))
+    assert acc.bucket_width == 100.0 and len(acc.buckets) == 16
 
 
 # --- percentile monotonicity -----------------------------------------------

@@ -6,10 +6,14 @@ formats, the serialization v2 round-trip of the new histograms, and the
 zero-overhead-when-off invariants.
 """
 
+import hashlib
+import itertools
 import json
+from pathlib import Path
 
 import pytest
 
+import repro.net.packet as packet_module
 from repro.config import ObsConfig, SystemConfig
 from repro.errors import SimulationError
 from repro.multiport import simulate_all_ports
@@ -23,6 +27,7 @@ from repro.obs import (
     sum_by_label,
     three_way_ns,
 )
+from repro.net.packet import Transaction
 from repro.obs.attribution import segment_table_rows
 from repro.serialization import (
     result_digest,
@@ -30,9 +35,10 @@ from repro.serialization import (
     result_to_dict,
     result_to_state,
 )
+from repro.sim.engine import Engine
 from repro.sim.stats import Histogram
 
-from conftest import fast_workload, run_system, small_config
+from conftest import BUILT_SCHEDULERS, fast_workload, run_system, small_config
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +298,43 @@ class TestTraceRecorder:
         assert traced.collector.all.total_ns == pytest.approx(
             plain.collector.all.total_ns
         )
+
+
+#: SHA-256 of the two dump files of one fixed traced run, per
+#: ``trace_sample``: ``{sample: (jsonl, chrome)}``.  A tracer change that
+#: cuts work must leave these bytes alone; one that means to change the
+#: trace re-pins them deliberately.
+TRACE_PINS = {
+    1: (
+        "c7f30a9db013a25749b321b35677641a9f59e45faa5fb274aa65f38947226534",
+        "067550fbc501b51d7dde4ce3a6ba9f0fc7c985e7c68270609d2412e9302f1784",
+    ),
+    4: (
+        "15f82fec816f5ca91decf0efd709c0f39016c4cf1a5f0ce18f94d2fface3a8e3",
+        "fc8a2bbaf8da377378689b45f5847f8b2a1352b55c9b21df2fab0191d8f1bfd7",
+    ),
+}
+
+
+class TestTracePins:
+    @pytest.mark.parametrize("scheduler", BUILT_SCHEDULERS)
+    @pytest.mark.parametrize("sample", sorted(TRACE_PINS))
+    def test_dump_bytes_pinned(self, tmp_path, monkeypatch, sample, scheduler):
+        # Packet and transaction ids come from process-wide counters and
+        # appear in the dumps; restart them so the run traces as it
+        # would in a fresh process, whatever ran before it.
+        monkeypatch.setattr(packet_module, "_packet_ids", itertools.count())
+        monkeypatch.setattr(Transaction, "_ids", itertools.count())
+        config = small_config().with_obs(
+            attribution=True, trace=True, trace_sample=sample
+        )
+        system, _ = run_system(config, requests=60, engine=Engine(scheduler))
+        jsonl, chrome = system.dump_trace(str(tmp_path))
+        digests = tuple(
+            hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for path in (jsonl, chrome)
+        )
+        assert digests == TRACE_PINS[sample]
 
 
 # ---------------------------------------------------------------------------

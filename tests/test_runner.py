@@ -13,14 +13,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import ObsConfig, OverloadConfig, SystemConfig, parse_label
 from repro.experiments.base import ExperimentOutput
+from repro.fleet import FleetConfig, Tenant, uniform_fleet
 from repro.net.routing import cached_bfs_paths, clear_route_cache
+from repro.ras import FaultPlan
 from repro.runner import (
     ParallelRunner,
     ResultCache,
     SimJob,
     canonical_tree,
+    digest_tree,
     execute_job,
     using_runner,
 )
@@ -31,6 +34,8 @@ from repro.serialization import (
 )
 from repro.sweep import Sweep
 from repro.system import simulate
+from repro.units import ns
+from repro.workloads import WorkloadSpec
 
 from conftest import fast_workload, small_config
 
@@ -97,6 +102,97 @@ class TestSimJobDigest:
         tree = canonical_tree(small_config())
         assert json.dumps(tree, sort_keys=True) == json.dumps(
             canonical_tree(small_config()), sort_keys=True
+        )
+
+
+def _pin_workload(**overrides) -> WorkloadSpec:
+    defaults = dict(
+        name="PIN", read_fraction=0.6, mean_gap_ns=2.0, locality_lines=4.0
+    )
+    defaults.update(overrides)
+    return WorkloadSpec(**defaults)
+
+
+class TestDigestPins:
+    """Literal cache keys: a canonicalisation change must not move them.
+
+    Every cached result is stored under its job digest, so a digest that
+    drifts orphans the whole disk cache without failing any result pin.
+    The configs are spelled out here (not taken from fixtures) so only a
+    change to canonicalisation or to a schema default can move a pin.
+    """
+
+    def test_default_job(self):
+        assert SimJob(SystemConfig(), _pin_workload()).digest() == (
+            "ee4c000246a7aa2dc69b86bffde5434f51bb9f565711f01a73dc5e8c3793a056"
+        )
+
+    def test_overload_ras_obs_job(self):
+        # Non-default digest-transparent fields (overload, obs sampling
+        # and labels) enter the tree next to a full RAS fault plan.
+        config = SystemConfig(
+            topology="tree",
+            dram_fraction=0.5,
+            overload=OverloadConfig(
+                deadline_ps=ns(1000), max_retries=1, shed_high=512, shed_low=256
+            ),
+            ras=FaultPlan(
+                bit_error_rate=1e-6,
+                link_failures=((0, 1, ns(500)),),
+                cube_failures=((3, ns(900)),),
+            ),
+            obs=ObsConfig(
+                attribution=True,
+                attribution_sample=4,
+                attribution_labels=("mem.xfer", "resp"),
+                trace=True,
+                trace_sample=4,
+            ),
+        )
+        assert SimJob(config, _pin_workload(), requests=500).digest() == (
+            "2356384bdc8cb2c30904340345c2a56c52534c84d0d5b25a712280de6e194384"
+        )
+
+    def test_p2p_poisson_job(self):
+        pinned = SimJob(
+            SystemConfig(p2p_pattern="promote", dram_fraction=0.5),
+            _pin_workload(p2p_fraction=0.05, arrival="poisson"),
+            requests=300,
+        )
+        assert pinned.digest() == (
+            "a778a92ddce59b6f5e343179d4a4a7d425d7658b261995ccf3a8584a1a1b26f9"
+        )
+
+    def test_skewed_two_tenant_fleet(self):
+        fleet = FleetConfig(
+            shards=tuple(
+                parse_label(label)
+                for label in ("100%-C", "100%-T", "50%-T (NVM-L)")
+            ),
+            workload=_pin_workload(),
+            tenants=(
+                Tenant("hot", weight=3.0, skew=0.6, rate_scale=2.0),
+                Tenant("cold"),
+            ),
+            requests_per_shard=100,
+            seed=7,
+        )
+        assert fleet.digest() == (
+            "138886c97a5f0df6ee56e4cd10b015bb43b0b6e5fbbaa88fcb9017572a3cc5ec"
+        )
+        # The shard jobs carry the tenants' skew and rate scaling, so
+        # their keys cover WorkloadSpec's transparent fields off default.
+        shard_digests = [job.digest() for job in fleet.compile()]
+        assert digest_tree(shard_digests) == (
+            "320cac1760181c2ae36cafcfa29919cac212c0b7b1fe494605a03c6bebb912eb"
+        )
+
+    def test_uniform_fleet(self):
+        fleet = uniform_fleet(
+            4, SystemConfig(), _pin_workload(), requests_per_shard=100
+        )
+        assert fleet.digest() == (
+            "5407702b93600b1d6b86305896b09e0a2c66d3ea136caab36f8a9ec883dea558"
         )
 
 
