@@ -31,8 +31,6 @@ Usage::
         [--repeats N] [--output PATH] [--history N]
         [--min-events-per-s FLOOR] [--max-sampled-overhead FRACTION]
         [--gate-scheduler {heap,native}]
-
-``REPRO_BENCH_REQUESTS`` also scales the request count.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from repro.system import MemoryNetworkSystem
 from repro.units import TIB_BYTES
 from repro.workloads import get_workload
 
-DEFAULT_REQUESTS = int(os.environ.get("REPRO_BENCH_REQUESTS", "300")) * 4
+DEFAULT_REQUESTS = 1200
 WORKLOAD = "KMEANS"
 BASE = SystemConfig(total_capacity_bytes=TIB_BYTES)
 

@@ -17,8 +17,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_runner.py [--requests N]
         [--jobs N] [--output PATH]
-
-``REPRO_BENCH_REQUESTS`` also scales the per-run request count.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from repro.system import MemoryNetworkSystem
 from repro.units import TIB_BYTES
 from repro.workloads import get_workload
 
-DEFAULT_REQUESTS = int(os.environ.get("REPRO_BENCH_REQUESTS", "300"))
+DEFAULT_REQUESTS = 300
 EXPERIMENT = "fig10"
 CROSS_EXPERIMENT = "fig04"
 WORKLOADS = ("KMEANS", "BACKPROP")

@@ -1,8 +1,10 @@
 """Built-in model self-checks.
 
-``run_self_check(config)`` exercises a configuration end-to-end and
-verifies first-principles invariants — useful after changing timing
-parameters, adding a topology, or porting the package.  Each check
+``run_self_check(config)`` exercises a configuration end-to-end —
+useful after changing timing parameters, adding a topology, or porting
+the package.  It checks the routes, times one isolated read against the
+analytic latency, and makes one audited run (``repro.check``) whose
+invariant violations become a failed ``audit`` result.  Each check
 returns a :class:`CheckResult`; ``python -m repro selfcheck`` runs them
 from the shell.
 """
@@ -10,9 +12,10 @@ from the shell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.config import SystemConfig
+from repro.errors import InvariantViolation
 from repro.system import MemoryNetworkSystem
 from repro.units import serialization_ps
 from repro.workloads import Request, WorkloadSpec
@@ -76,39 +79,39 @@ def _single_read_latency_check(config: SystemConfig) -> CheckResult:
     )
 
 
-def _conservation_check(config: SystemConfig) -> CheckResult:
-    """Every injected request completes; memory sees each exactly once."""
-    requests = 300
-    system = MemoryNetworkSystem(config, _CHECK_SPEC, requests=requests)
-    result = system.run()
-    accesses = sum(
-        cube.total_reads() + cube.total_writes() for cube in system.cubes.values()
-    )
-    passed = result.transactions == requests and accesses == requests
-    return CheckResult(
-        "conservation",
-        passed,
-        f"{result.transactions}/{requests} transactions, {accesses} accesses",
-    )
-
-
-def _traffic_share_check(config: SystemConfig) -> CheckResult:
-    """Per-cube traffic matches the capacity-weighted interleave."""
+def _audited_run_checks(config: SystemConfig) -> List[CheckResult]:
+    """One audited run: the auditor's invariants, then the cube-level
+    checks no invariant covers (every request reaches memory once, and
+    per-cube traffic matches the capacity-weighted interleave)."""
     requests = 1200
-    system = MemoryNetworkSystem(config, _CHECK_SPEC, requests=requests)
-    system.run()
+    system = MemoryNetworkSystem(config, _CHECK_SPEC, requests=requests, audit=True)
+    try:
+        system.run()
+    except InvariantViolation as violation:
+        audit = CheckResult("audit", False, str(violation))
+    else:
+        audit = CheckResult("audit", True, f"no invariant violations in {requests} requests")
     worst = 0.0
+    accesses = 0
     for index, cube_id in enumerate(system.cube_node_ids):
         cube = system.cubes[cube_id]
-        share = (cube.total_reads() + cube.total_writes()) / requests
+        cube_accesses = cube.total_reads() + cube.total_writes()
+        accesses += cube_accesses
         expected = system.address_map.cube_share(index)
-        worst = max(worst, abs(share - expected))
-    passed = worst < 0.05
-    return CheckResult(
-        "traffic_share",
-        passed,
-        f"max |observed-expected| cube share = {worst:.3f} (< 0.05)",
-    )
+        worst = max(worst, abs(cube_accesses / requests - expected))
+    return [
+        audit,
+        CheckResult(
+            "cube_accesses",
+            accesses == requests,
+            f"{accesses} cube accesses for {requests} requests",
+        ),
+        CheckResult(
+            "traffic_share",
+            worst < 0.05,
+            f"max |observed-expected| cube share = {worst:.3f} (< 0.05)",
+        ),
+    ]
 
 
 def _route_sanity_check(config: SystemConfig) -> CheckResult:
@@ -128,40 +131,15 @@ def _route_sanity_check(config: SystemConfig) -> CheckResult:
     )
 
 
-def _energy_check(config: SystemConfig) -> CheckResult:
-    """Energy accounting is positive and component-consistent."""
-    system = MemoryNetworkSystem(config, _CHECK_SPEC, requests=200)
-    result = system.run()
-    energy = result.energy
-    consistent = (
-        energy.total_pj
-        == energy.network_pj
-        + energy.interposer_pj
-        + energy.memory_read_pj
-        + energy.memory_write_pj
-    )
-    passed = consistent and energy.total_pj > 0
-    return CheckResult(
-        "energy_accounting",
-        passed,
-        f"total {energy.total_pj / 1e6:.2f} uJ, components consistent={consistent}",
-    )
-
-
-CHECKS: List[Callable[[SystemConfig], CheckResult]] = [
-    _route_sanity_check,
-    _single_read_latency_check,
-    _conservation_check,
-    _traffic_share_check,
-    _energy_check,
-]
-
-
 def run_self_check(config: Optional[SystemConfig] = None) -> List[CheckResult]:
     """Run all checks against a configuration (default: paper baseline)."""
     config = config or SystemConfig()
     config.validate()
-    return [check(config) for check in CHECKS]
+    return [
+        _route_sanity_check(config),
+        _single_read_latency_check(config),
+        *_audited_run_checks(config),
+    ]
 
 
 def all_passed(results: List[CheckResult]) -> bool:
