@@ -48,7 +48,6 @@ from repro.fleet import (
     uniform_fleet,
 )
 from repro.results import EnergyReport, LatencyBreakdown, SimResult, speedup_percent
-from repro.multiport import MultiPortResult, simulate_all_ports
 from repro.system import MemoryNetworkSystem, simulate
 from repro.workloads import (
     PAPER_SUITE,
@@ -73,8 +72,6 @@ __all__ = [
     "parse_label",
     "MemoryNetworkSystem",
     "simulate",
-    "MultiPortResult",
-    "simulate_all_ports",
     "FleetConfig",
     "FleetResult",
     "Tenant",

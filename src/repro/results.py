@@ -48,13 +48,6 @@ class LatencyBreakdown:
         self.from_memory_hist.add(from_ps)
         self.total_hist.add(to_ps + in_ps + from_ps)
 
-    def merge(self, other: "LatencyBreakdown") -> None:
-        """Fold another breakdown into this one (multi-port composition)."""
-        self.to_memory_hist.merge(other.to_memory_hist)
-        self.in_memory_hist.merge(other.in_memory_hist)
-        self.from_memory_hist.merge(other.from_memory_hist)
-        self.total_hist.merge(other.total_hist)
-
     @property
     def to_memory(self) -> RunningStat:
         return self.to_memory_hist.stat
@@ -179,30 +172,6 @@ class TransactionCollector:
         if hist is None:
             hist = segments[UNATTRIBUTED] = make_segment_histogram()
         hist.add(residual)
-
-    def merge(self, other: "TransactionCollector") -> None:
-        """Fold another collector into this one (multi-port composition)."""
-        self.reads += other.reads
-        self.writes += other.writes
-        self.p2p += other.p2p
-        self.row_hits += other.row_hits
-        self.nvm_accesses += other.nvm_accesses
-        self.all.merge(other.all)
-        self.read_breakdown.merge(other.read_breakdown)
-        self.write_breakdown.merge(other.write_breakdown)
-        self.p2p_breakdown.merge(other.p2p_breakdown)
-        self.request_hops.merge(other.request_hops)
-        self.response_hops.merge(other.response_hops)
-        self.xfer_hops.merge(other.xfer_hops)
-        if other.last_complete_ps > self.last_complete_ps:
-            self.last_complete_ps = other.last_complete_ps
-        for label, hist in other.segments.items():
-            into = self.segments.get(label)
-            if into is None:
-                into = self.segments[label] = Histogram(
-                    hist.bucket_width, len(hist.buckets)
-                )
-            into.merge(hist)
 
     @property
     def count(self) -> int:

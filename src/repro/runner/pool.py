@@ -34,7 +34,9 @@ batches (:mod:`repro.fleet`): results are handed to a commutative fold
 callback the moment they complete — cache hits included — and then
 evicted from the cache's memory layer (when a disk layer holds them),
 so a thousand-shard batch never materializes a thousand results in one
-process.
+process.  Both are thin wrappers over one resolution loop
+(:meth:`ParallelRunner._resolve`) that differ only in what they do
+with each delivered result.
 
 A module-level *ambient* runner lets high-level entry points
 (:func:`repro.system.simulate`, :class:`repro.sweep.Sweep`,
@@ -70,13 +72,14 @@ POOL_RETRIES = 1
 #: Backoff before respawning a broken pool (seconds, scaled by attempt).
 POOL_RESPAWN_BACKOFF_S = 0.25
 
-#: Chunk-size ceiling for streaming folds: :meth:`ParallelRunner.run_fold`
-#: holds at most one in-flight chunk of results per worker, so capping
-#: the chunk keeps peak resident memory independent of batch size.
+#: Chunk-size ceiling: a worker round-trip returns at most this many
+#: results at once, so a streaming fold
+#: (:meth:`ParallelRunner.run_fold`) holds at most one chunk of results
+#: per worker and peak resident memory stays independent of batch size.
 FOLD_CHUNK_CAP = 16
 
-#: Placeholder recorded for a result that was folded and released
-#: instead of retained (streaming mode).
+#: Placeholder recorded for a result that was delivered (and, in a
+#: streaming fold, released) instead of retained.
 _FOLDED = object()
 
 _warned_bad_jobs_env = False
@@ -124,6 +127,11 @@ def _worker_init() -> None:
     """Pool initializer: pay the heavy imports once per worker process
     instead of on the first job each worker receives."""
     import repro.system  # noqa: F401
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    """A worker pool whose processes pre-import the simulator."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
 
 
 def execute_chunk(jobs: Sequence[SimJob]) -> List[tuple]:
@@ -224,40 +232,17 @@ class ParallelRunner:
         first failure in input order is raised as a
         :class:`~repro.errors.RunnerError`.
         """
-        if on_error not in ("raise", "collect"):
-            raise ValueError(f"on_error must be 'raise' or 'collect', not {on_error!r}")
-        digests = [job.digest() for job in batch]
-        results: Dict[str, Union[SimResult, JobFailure, None]] = {}
-        pending: List[SimJob] = []
-        for job, digest in zip(batch, digests):
-            if digest in results:
-                continue  # duplicate within the batch
-            cached = self.cache.get(digest)
-            if cached is not None:
-                results[digest] = cached
-            else:
-                results[digest] = None  # reserve slot, keep first occurrence
-                pending.append(job)
-        if pending:
-            self._execute(pending, results)
-            self.simulations_run += sum(
-                1 for job in pending if isinstance(results[job.digest()], SimResult)
-            )
-        # Stamp every failure with the batch's checkpoint count so the
-        # error (or collected row) says how much a rerun will skip.
-        checkpointed = sum(
-            1 for value in results.values() if isinstance(value, SimResult)
-        )
-        for value in results.values():
-            if isinstance(value, JobFailure):
-                value.checkpointed = checkpointed
-        out: List[Union[SimResult, JobFailure]] = []
-        for digest in digests:
-            value = results[digest]
-            if isinstance(value, JobFailure) and on_error == "raise":
-                raise value.to_error()
-            out.append(value)
-        return out
+        out: List[Union[SimResult, JobFailure, None]] = [None] * len(batch)
+
+        def deliver(digest: str, indices: List[int], result: SimResult) -> None:
+            for index in indices:
+                out[index] = result
+
+        failures = self._resolve(batch, on_error, deliver)
+        for index, failure in enumerate(failures):
+            if failure is not None:
+                out[index] = failure
+        return out  # type: ignore[return-value]
 
     def run_fold(
         self,
@@ -284,6 +269,32 @@ class ParallelRunner:
         aligned with the input, ``None`` for folded jobs and
         :class:`JobFailure` rows under ``on_error="collect"``.
         """
+
+        def deliver(digest: str, indices: List[int], result: SimResult) -> None:
+            for index in indices:
+                fold(index, batch[index], result)
+            if self.cache.persistent:
+                self.cache.drop_memory(digest)
+
+        return self._resolve(batch, on_error, deliver)
+
+    def _resolve(
+        self,
+        batch: Sequence[SimJob],
+        on_error: str,
+        deliver,
+    ) -> List[Optional[JobFailure]]:
+        """The one dedup / cache / checkpoint loop behind both entry points.
+
+        Each distinct digest is resolved once — from the cache, else by
+        simulation — and handed to ``deliver(digest, indices, result)``
+        with every input position that carries it.  Returns the failure
+        of each input position (``None`` where a result was delivered),
+        each stamped with the batch's checkpoint count so the error (or
+        collected row) says how much a rerun will skip; under
+        ``on_error="raise"`` the first failure in input order is raised
+        instead.
+        """
         if on_error not in ("raise", "collect"):
             raise ValueError(f"on_error must be 'raise' or 'collect', not {on_error!r}")
         digests = [job.digest() for job in batch]
@@ -291,26 +302,22 @@ class ParallelRunner:
         for index, digest in enumerate(digests):
             positions.setdefault(digest, []).append(index)
 
-        def deliver(digest: str, result: SimResult) -> None:
-            for index in positions[digest]:
-                fold(index, batch[index], result)
-            if self.cache.persistent:
-                self.cache.drop_memory(digest)
+        def sink(digest: str, result: SimResult) -> None:
+            deliver(digest, positions[digest], result)
 
-        results: Dict[str, Union[SimResult, JobFailure, None]] = {}
+        # digest -> None (pending), _FOLDED (delivered) or JobFailure
+        results: Dict[str, object] = {}
         pending: List[SimJob] = []
-        for job, digest in zip(batch, digests):
-            if digest in results:
-                continue  # duplicate within the batch
+        for digest, indices in positions.items():
             cached = self.cache.get(digest)
             if cached is not None:
-                results[digest] = _FOLDED  # type: ignore[assignment]
-                deliver(digest, cached)
+                results[digest] = _FOLDED
+                deliver(digest, indices, cached)
             else:
-                results[digest] = None  # reserve slot, keep first occurrence
-                pending.append(job)
+                results[digest] = None  # reserve the slot
+                pending.append(batch[indices[0]])
         if pending:
-            self._execute(pending, results, sink=deliver)
+            self._execute(pending, results, sink)
             self.simulations_run += sum(
                 1 for job in pending if results[job.digest()] is _FOLDED
             )
@@ -332,28 +339,21 @@ class ParallelRunner:
     # ------------------------------------------------------------------
     def _complete(
         self,
-        results: Dict[str, Union[SimResult, JobFailure, None]],
+        results: Dict[str, object],
         job: SimJob,
         result: SimResult,
-        sink=None,
+        sink,
     ) -> None:
-        """Record a success and checkpoint it to the cache immediately.
-
-        With a ``sink`` (streaming fold), the result is handed off and
-        only a placeholder is retained, so the batch's results never
-        accumulate in this process.
-        """
+        """Record a success, checkpoint it to the cache immediately and
+        hand it to ``sink``; only a placeholder is retained."""
         digest = job.digest()
         self.cache.put(digest, result)
-        if sink is None:
-            results[digest] = result
-        else:
-            results[digest] = _FOLDED  # type: ignore[assignment]
-            sink(digest, result)
+        results[digest] = _FOLDED
+        sink(digest, result)
 
     @staticmethod
     def _fail(
-        results: Dict[str, Union[SimResult, JobFailure, None]],
+        results: Dict[str, object],
         job: SimJob,
         error: str,
         kind: str,
@@ -370,8 +370,8 @@ class ParallelRunner:
     def _execute(
         self,
         pending: List[SimJob],
-        results: Dict[str, Union[SimResult, JobFailure, None]],
-        sink=None,
+        results: Dict[str, object],
+        sink,
     ) -> None:
         workers = min(self.jobs, len(pending))
         if workers <= 1:
@@ -386,32 +386,27 @@ class ParallelRunner:
             return
         self._execute_parallel(pending, results, workers, sink)
 
-    def _chunk_size(
-        self, pending_count: int, workers: int, streaming: bool = False
-    ) -> int:
+    def _chunk_size(self, pending_count: int, workers: int) -> int:
         """Jobs per worker round-trip.
 
         Four chunks per worker balances pickling amortization against
         tail imbalance (a worker stuck with the one slow chunk).  The
         watchdog needs per-job starts, so an armed ``job_timeout_s``
-        forces single-job chunks.  Streaming folds additionally cap the
-        chunk at :data:`FOLD_CHUNK_CAP` so the per-chunk result list —
-        the only place a fold holds multiple results at once — stays
+        forces single-job chunks.  The chunk is capped at
+        :data:`FOLD_CHUNK_CAP` so the per-chunk result list — the only
+        place a streaming fold holds multiple results at once — stays
         bounded regardless of batch size.
         """
         if self.job_timeout_s is not None:
             return 1
-        size = max(1, -(-pending_count // (workers * 4)))
-        if streaming:
-            size = min(size, FOLD_CHUNK_CAP)
-        return size
+        return min(max(1, -(-pending_count // (workers * 4))), FOLD_CHUNK_CAP)
 
     def _requeue_broken(
         self,
         chunk: List[SimJob],
         queue: deque,
         attempts: Dict[str, int],
-        results: Dict[str, Union[SimResult, JobFailure, None]],
+        results: Dict[str, object],
     ) -> None:
         """Retry policy for a chunk whose pool broke underneath it.
 
@@ -432,16 +427,16 @@ class ParallelRunner:
     def _execute_parallel(
         self,
         pending: List[SimJob],
-        results: Dict[str, Union[SimResult, JobFailure, None]],
+        results: Dict[str, object],
         workers: int,
-        sink=None,
+        sink,
     ) -> None:
         attempts: Dict[str, int] = {job.digest(): 0 for job in pending}
-        size = self._chunk_size(len(pending), workers, streaming=sink is not None)
+        size = self._chunk_size(len(pending), workers)
         queue: deque = deque(
             pending[i:i + size] for i in range(0, len(pending), size)
         )
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
+        pool = _new_pool(workers)
         running: Dict[object, tuple] = {}  # future -> (chunk, start_monotonic)
         try:
             while queue or running:
@@ -494,9 +489,7 @@ class ParallelRunner:
                     running.clear()
                     _kill_pool(pool)
                     time.sleep(POOL_RESPAWN_BACKOFF_S)
-                    pool = ProcessPoolExecutor(
-                        max_workers=workers, initializer=_worker_init
-                    )
+                    pool = _new_pool(workers)
         finally:
             _kill_pool(pool)
 
@@ -507,7 +500,7 @@ class ParallelRunner:
         running: Dict[object, tuple],
         queue: deque,
         attempts: Dict[str, int],
-        results: Dict[str, Union[SimResult, JobFailure, None]],
+        results: Dict[str, object],
     ) -> ProcessPoolExecutor:
         """The watchdog fired: fail overdue jobs, requeue the innocent.
 
@@ -537,7 +530,7 @@ class ParallelRunner:
                 queue.append(chunk)
                 del running[future]
         _kill_pool(pool)
-        return ProcessPoolExecutor(max_workers=workers)
+        return _new_pool(workers)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,8 @@ def result_to_state(result: SimResult) -> Dict[str, object]:
 
 def result_from_state(state: Dict[str, object]) -> SimResult:
     """Rebuild a :class:`SimResult` from :func:`result_to_state` output."""
+    if not isinstance(state, dict):
+        raise ValueError(f"result state must be an object, not {type(state).__name__}")
     version = state.get("version")
     if version != RESULT_STATE_VERSION:
         raise ValueError(

@@ -701,20 +701,14 @@ def simulate(
     config: SystemConfig,
     workload: WorkloadSpec,
     requests: int = 2000,
-    workload_iter: Optional[Iterator[Request]] = None,
 ) -> SimResult:
     """Convenience one-shot: build a system, run it, return the result.
 
     Routed through the ambient :class:`repro.runner.ParallelRunner`, so
     repeated calls with an identical (config, workload, requests) triple
-    are memoized by content digest.  An explicit ``workload_iter`` makes
-    the run non-reproducible from its arguments alone, so those runs
-    bypass the runner and always simulate.
+    are memoized by content digest.  Runs fed by an explicit request
+    iterator build :class:`MemoryNetworkSystem` with ``workload_iter``.
     """
-    if workload_iter is not None:
-        return MemoryNetworkSystem(
-            config, workload, requests=requests, workload_iter=workload_iter
-        ).run()
     # Imported here: repro.runner imports repro.system for its workers.
     from repro.runner import SimJob, get_runner
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.config import HostConfig, SystemConfig
 from repro.results import SimResult
+from repro.runner import ParallelRunner
 from repro.serialization import result_digest
 from repro.sim import native, native_build
 from repro.sim.engine import Engine
@@ -137,6 +138,33 @@ def sim_digest(
         config, workload, requests, engine=Engine(scheduler), **kwargs
     )
     return result_digest(result), result.events_processed
+
+
+def run_via_fold(runner, batch, on_error: str = "raise") -> list:
+    """``runner.run_fold`` with a fold that collects into a list, shaped
+    like ``runner.run``'s output: each input position holds its result
+    or its :class:`~repro.runner.JobFailure` row."""
+    collected = []
+    rows = runner.run_fold(
+        batch,
+        lambda index, job, result: collected.append((index, result)),
+        on_error=on_error,
+    )
+    for index, result in collected:
+        assert rows[index] is None, f"position {index} delivered twice"
+        rows[index] = result
+    assert all(row is not None for row in rows), "a position was never folded"
+    return rows
+
+
+#: The runner's two entry points, for contract tests that must hold for
+#: both (``resolve(runner, batch, on_error=...)``).
+RUNNER_ENTRY_POINTS = {"run": ParallelRunner.run, "run_fold": run_via_fold}
+
+
+@pytest.fixture(params=sorted(RUNNER_ENTRY_POINTS))
+def resolve(request):
+    return RUNNER_ENTRY_POINTS[request.param]
 
 
 @pytest.fixture

@@ -93,33 +93,8 @@ class TestLatencyBreakdown:
             with pytest.raises(AttributeError):
                 setattr(breakdown, component, hist.stat)
 
-    def test_merge_keeps_component_counts_in_step(self):
-        left, right = LatencyBreakdown(), LatencyBreakdown()
-        left.add(finished_txn())
-        right.add(finished_txn(arrive=200, depart=260, done=400))
-        right.add(finished_txn(arrive=120, depart=180, done=260))
-        left.merge(right)
-        assert left.to_memory.count == left.to_memory_hist.count == 3
-        assert left.in_memory.count == left.in_memory_hist.count == 3
-        assert left.from_memory.count == left.from_memory_hist.count == 3
-        assert left.to_memory.mean == pytest.approx((100 + 200 + 120) / 3)
-
 
 class TestCollector:
-    def test_merge_keeps_component_counts_in_step(self):
-        first, second = TransactionCollector(), TransactionCollector()
-        first.add(finished_txn(is_write=False))
-        second.add(finished_txn(is_write=True))
-        second.add(finished_txn(is_write=False, arrive=200, depart=260, done=400))
-        first.merge(second)
-        for breakdown, n in (
-            (first.all, 3),
-            (first.read_breakdown, 2),
-            (first.write_breakdown, 1),
-        ):
-            assert breakdown.to_memory.count == breakdown.to_memory_hist.count == n
-            assert breakdown.from_memory.count == breakdown.from_memory_hist.count == n
-
     def test_read_write_split(self):
         collector = TransactionCollector()
         collector.add(finished_txn(is_write=False))

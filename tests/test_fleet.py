@@ -22,6 +22,7 @@ import pytest
 
 from conftest import fast_workload, small_config
 from repro.check import audits, check_fleet_conservation
+from repro.config import HostConfig
 from repro.errors import ConfigError, InvariantViolation
 from repro.fleet import (
     FleetConfig,
@@ -175,6 +176,27 @@ class TestCacheReplay:
 # ---------------------------------------------------------------------------
 # Scale: the acceptance fleet
 # ---------------------------------------------------------------------------
+class TestAllPortsMachine:
+    def test_uniform_fleet_runs_every_host_port(self):
+        """The paper's machine — one MN per host port, disjoint address
+        slices (Section 2.3) — is a uniform fleet over the ports."""
+        config = small_config(host=HostConfig(num_ports=2))
+        fleet = uniform_fleet(
+            config.host.num_ports, config, fast_workload(),
+            requests_per_shard=200, seed=config.seed,
+        )
+        runner = ParallelRunner(jobs=1, cache=ResultCache())
+        total = run_fleet(fleet, runner=runner).total
+        assert total.shards == 2
+        assert total.requests == 400
+        mean_runtime_ps = total.runtime_ps_total / total.shards
+        assert total.runtime_ps_max / mean_runtime_ps < 1.5  # ports balanced
+        tails = total.tails_ns()
+        assert tails["p50"] <= tails["p99"]
+        # replays come from the cache
+        assert run_fleet(fleet, runner=runner).simulations_run == 0
+
+
 class TestFleetAtScale:
     def test_64_shard_heterogeneous_fleet(self, tmp_path):
         fleet = hetero_fleet(

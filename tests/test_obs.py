@@ -16,7 +16,6 @@ import pytest
 import repro.net.packet as packet_module
 from repro.config import ObsConfig, SystemConfig
 from repro.errors import SimulationError
-from repro.multiport import simulate_all_ports
 from repro.obs import (
     PHASE_TO_COMPONENT,
     UNATTRIBUTED,
@@ -167,18 +166,6 @@ class TestTails:
         report = result_to_dict(result)
         assert "tails_ns" in report["latency"]
         assert report["latency"]["tails_ns"]["total"]["p95"] > 0
-
-    def test_multiport_merges_histograms_and_segments(self):
-        config = small_config().with_obs(attribution=True)
-        multi = simulate_all_ports(config, fast_workload(), requests_per_port=40)
-        merged = multi.merged_collector()
-        assert merged.count == multi.total_transactions
-        assert merged.all.total_hist.count == multi.total_transactions
-        assert merged.segments["req.port"].count == multi.total_transactions
-        # merged percentiles are well-formed
-        assert merged.all.percentile_ns("total", 0.99) >= merged.all.percentile_ns(
-            "total", 0.50
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,13 @@ from repro.sweep import Sweep
 from repro.system import MemoryNetworkSystem
 from repro.units import GIB_BYTES
 
-from conftest import fast_workload, run_sim, run_system, small_config
+from conftest import (
+    RUNNER_ENTRY_POINTS,
+    fast_workload,
+    run_sim,
+    run_system,
+    small_config,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -312,43 +318,72 @@ def _hanging_execute(job):  # pragma: no cover - runs in a worker
 
 
 class TestRunnerHardening:
-    def test_collect_returns_structured_failures(self):
+    def test_collect_returns_structured_failures(self, resolve):
         runner = ParallelRunner(jobs=1, cache=ResultCache())
-        out = runner.run([_good_job(), _bad_job()], on_error="collect")
+        out = resolve(runner, [_good_job(), _bad_job()], on_error="collect")
         assert result_digest(out[0])  # a real SimResult
         failure = out[1]
         assert isinstance(failure, JobFailure)
         assert failure.kind == "exception"
         assert "TopologyError" in failure.error
         assert failure.digest == _bad_job().digest()
+        assert failure.checkpointed == 1
 
-    def test_raise_mode_carries_digest_and_label(self):
+    def test_raise_mode_carries_digest_and_label(self, resolve):
         runner = ParallelRunner(jobs=1, cache=ResultCache())
         bad = _bad_job()
         with pytest.raises(RunnerError) as excinfo:
-            runner.run([_good_job(), bad])
+            resolve(runner, [_good_job(), bad])
         assert bad.digest()[:12] in str(excinfo.value)
         assert bad.label() in str(excinfo.value)
         # The batch still executed: the good job was checkpointed.
         assert runner.cache.get(_good_job().digest()) is not None
+        assert runner.simulations_run == 1
+        assert "1 job(s) from the batch are checkpointed" in str(excinfo.value)
 
     def test_invalid_on_error_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(jobs=1).run([], on_error="ignore")
+        for resolve in RUNNER_ENTRY_POINTS.values():
+            with pytest.raises(ValueError):
+                resolve(ParallelRunner(jobs=1), [], on_error="ignore")
 
-    def test_checkpoint_resume_reruns_only_failures(self):
+    def test_checkpoint_resume_reruns_only_failures(self, resolve):
         cache = ResultCache()
         batch = [_good_job(seed=1), _bad_job(), _good_job(seed=2)]
         first = ParallelRunner(jobs=1, cache=cache)
-        first.run(batch, on_error="collect")
+        resolve(first, batch, on_error="collect")
         assert first.simulations_run == 2
         resumed = ParallelRunner(jobs=1, cache=cache)
-        out = resumed.run(batch, on_error="collect")
+        out = resolve(resumed, batch, on_error="collect")
         # The successes came back from the cache (no new simulations);
         # only the failure — never cached — was attempted again.
         assert resumed.simulations_run == 0
         assert isinstance(out[1], JobFailure)
+        assert out[1].checkpointed == 2
         assert result_digest(out[0]) and result_digest(out[2])
+
+    def test_entry_points_agree(self):
+        """``run`` and ``run_fold`` resolve a batch identically: same
+        results, simulation counts, failure rows and checkpoints."""
+        batch = [_good_job(seed=1), _bad_job(), _good_job(seed=2),
+                 _good_job(seed=1), _bad_job()]
+        outcomes = {}
+        for name, resolve in RUNNER_ENTRY_POINTS.items():
+            runner = ParallelRunner(jobs=1, cache=ResultCache())
+            out = resolve(runner, batch, on_error="collect")
+            outcomes[name] = (
+                runner.simulations_run,
+                [
+                    (row.digest, row.kind, row.attempts, row.checkpointed)
+                    if isinstance(row, JobFailure)
+                    else result_digest(row)
+                    for row in out
+                ],
+            )
+        assert outcomes["run"] == outcomes["run_fold"]
+        simulations, rows = outcomes["run"]
+        assert simulations == 2
+        assert rows[1] == rows[4] == (_bad_job().digest(), "exception", 1, 2)
+        assert rows[0] == rows[3] != rows[2]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -391,7 +426,17 @@ class TestRunnerHardening:
             result_digest(r) for r in uninterrupted
         ]
 
-    def test_watchdog_times_out_hung_jobs(self):
+    def test_watchdog_times_out_hung_jobs(self, monkeypatch):
+        import repro.runner.pool as pool_module
+
+        pool_kwargs = []
+        real_pool = pool_module.ProcessPoolExecutor
+
+        def recording_pool(*args, **kwargs):
+            pool_kwargs.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", recording_pool)
         runner = ParallelRunner(
             jobs=2, cache=ResultCache(), job_timeout_s=0.001
         )
@@ -401,6 +446,13 @@ class TestRunnerHardening:
         )
         kinds = {f.kind for f in out if isinstance(f, JobFailure)}
         assert kinds == {"timeout"}
+        # The pool respawned after the watchdog teardown pre-imports the
+        # simulator like the first one did.
+        assert len(pool_kwargs) >= 2
+        for kwargs in pool_kwargs:
+            assert kwargs == {
+                "max_workers": 2, "initializer": pool_module._worker_init
+            }
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

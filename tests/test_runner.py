@@ -271,6 +271,21 @@ class TestResultCache:
         assert fresh.get("e" * 64) is None
         assert not path.exists()  # corrupt file removed
 
+    @pytest.mark.parametrize("payload", ["null", "[]", "1", '"x"'])
+    def test_non_object_entry_is_a_miss(self, tmp_path, payload):
+        # Valid JSON that is not a result object must not crash the run.
+        entry = job()
+        ParallelRunner(jobs=1, cache=ResultCache(tmp_path)).run([entry])
+        cache = ResultCache(tmp_path)
+        path = cache._path(entry.digest())
+        path.write_text(payload)
+        assert cache.get(entry.digest()) is None
+        assert cache.misses == 1
+        assert not path.exists()
+        runner = ParallelRunner(jobs=1, cache=cache)
+        runner.run([entry])
+        assert runner.simulations_run == 1
+
     def test_miss_counted(self):
         cache = ResultCache()
         assert cache.get("nope") is None
@@ -278,9 +293,9 @@ class TestResultCache:
 
 
 class TestParallelRunner:
-    def test_dedupes_identical_jobs(self):
+    def test_dedupes_identical_jobs(self, resolve):
         runner = ParallelRunner(jobs=1)
-        results = runner.run([job(), job(), job()])
+        results = resolve(runner, [job(), job(), job()])
         assert runner.simulations_run == 1
         assert results[0] is results[1] is results[2]
 

@@ -1,4 +1,4 @@
-"""Tests for visualization, network stats, multiport runs, CLI, CSV."""
+"""Tests for visualization, network stats, CLI, CSV."""
 
 import csv
 
@@ -13,9 +13,8 @@ from repro.analysis.network_stats import (
     render_link_report,
     underutilized_links,
 )
-from repro.config import HostConfig, SystemConfig
+from repro.config import SystemConfig
 from repro.experiments.base import ExperimentOutput
-from repro.multiport import simulate_all_ports
 from repro.system import MemoryNetworkSystem
 from repro.topology import build_topology
 
@@ -88,31 +87,6 @@ class TestNetworkStats:
     def test_reports_render(self, finished_system):
         assert "utilization" in render_link_report(finished_system)
         assert "row hits" in render_cube_report(finished_system)
-
-
-class TestMultiPort:
-    def test_all_ports_complete(self):
-        config = small_config(host=HostConfig(num_ports=2))
-        result = simulate_all_ports(config, fast_workload(), requests_per_port=100)
-        assert result.num_ports == 2
-        assert result.total_transactions == 200
-        assert result.runtime_ps == max(r.runtime_ps for r in result.per_port)
-
-    def test_ports_reasonably_balanced(self):
-        config = small_config(host=HostConfig(num_ports=2))
-        result = simulate_all_ports(config, fast_workload(), requests_per_port=200)
-        assert result.port_balance() < 1.5
-
-    def test_merged_collector_and_energy(self):
-        config = small_config(host=HostConfig(num_ports=2))
-        result = simulate_all_ports(config, fast_workload(), requests_per_port=100)
-        merged = result.merged_collector()
-        assert merged.count == 200
-        assert result.energy.total_pj > 0
-        breakdown = merged.all
-        assert breakdown.to_memory.count == breakdown.to_memory_hist.count == 200
-        assert breakdown.in_memory.count == breakdown.in_memory_hist.count == 200
-        assert breakdown.from_memory.count == breakdown.from_memory_hist.count == 200
 
 
 class TestCli:
