@@ -20,14 +20,9 @@ class HostNode:
     always drains the network, which keeps the MN deadlock-free).
     """
 
-    def __init__(
-        self,
-        router: Router,
-        inject_queue_depth: int,
-        queue_cls: type = InputQueue,
-    ) -> None:
+    def __init__(self, router: Router, inject_queue_depth: int) -> None:
         self.router = router
-        self.inject_queue = queue_cls("host.inject", inject_queue_depth)
+        self.inject_queue = InputQueue("host.inject", inject_queue_depth)
         index = router.add_input(self.inject_queue)
         assert index == 0, "host injection queue must be input 0"
         self._on_response: Optional[Callable[[Engine, Packet], None]] = None

@@ -36,7 +36,6 @@ class MemoryCube:
         route_response: Callable[[Packet], None],
         bank_scale: float = 1.0,
         pool: Optional[PacketPool] = None,
-        queue_cls: type = InputQueue,
     ) -> None:
         self.node_id = node_id
         self.tech = tech
@@ -46,7 +45,7 @@ class MemoryCube:
         banks_per_quadrant = cube_config.scaled_banks_per_quadrant(bank_scale)
         self.controllers: List[QuadrantController] = []
         for quadrant in range(cube_config.num_quadrants):
-            inject = queue_cls(
+            inject = InputQueue(
                 f"cube{node_id}.q{quadrant}.inject", cube_config.controller_queue_depth
             )
             index = router.add_input(inject)

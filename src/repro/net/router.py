@@ -22,21 +22,9 @@ LOCAL = -1  # output key for "terminate at this node"
 
 
 class OutputPort:
-    """Abstract output: either a link to a neighbour or local delivery."""
+    """Base of the two output kinds a router arbitrates for."""
 
     __slots__ = ()
-
-    def can_accept(self, now_ps: int, packet: Packet) -> bool:
-        raise NotImplementedError
-
-    def dispatch(self, engine: Engine, packet: Packet, input_index: int) -> None:
-        raise NotImplementedError
-
-    def request_wakeup(self, engine: Engine) -> None:
-        """A head packet is blocked on this port: arrange the one event
-        that can unblock it.  Default is a no-op — local ports are
-        retried by their owner (the memory controller re-kicks the
-        router when a slot frees)."""
 
 
 class LinkOutput(OutputPort):
@@ -47,30 +35,15 @@ class LinkOutput(OutputPort):
     def __init__(self, link: Link) -> None:
         self.link = link
 
-    def can_accept(self, now_ps: int, packet: Packet) -> bool:
-        return self.link.can_send(now_ps)
-
-    def dispatch(self, engine: Engine, packet: Packet, input_index: int) -> None:
-        self.link.send(engine, packet)
-
-    def request_wakeup(self, engine: Engine) -> None:
-        link = self.link
-        if link.dead:
-            return  # RAS quiesce reroutes or drops the queued packets
-        # Busy channel -> woken by its idle event; free channel with no
-        # credit -> woken by the downstream credit return.  Either way
-        # the channel's waiting set is the single wake-up registry.
-        link.channel.wake_when_idle(engine, link)
-
 
 class LocalOutput(OutputPort):
     """Deliver packets into the node itself (cube memory / host sink).
 
     ``accept_fn(packet)`` checks buffer space; ``deliver_fn(engine,
     packet, input_index)`` performs the hand-off (and models any
-    intra-package penalty, e.g. wrong-quadrant routing).  The Python
-    router calls the two functions directly; ``can_accept`` and
-    ``dispatch`` are the port interface the compiled router calls.
+    intra-package penalty, e.g. wrong-quadrant routing).  A blocked
+    local output needs no wake-up registration: its owner (the memory
+    controller) re-kicks the router when a slot frees.
     """
 
     __slots__ = ("accept_fn", "deliver_fn")
@@ -83,12 +56,6 @@ class LocalOutput(OutputPort):
         self.accept_fn = accept_fn
         self.deliver_fn = deliver_fn
 
-    def can_accept(self, now_ps: int, packet: Packet) -> bool:
-        return self.accept_fn(packet)
-
-    def dispatch(self, engine: Engine, packet: Packet, input_index: int) -> None:
-        self.deliver_fn(engine, packet, input_index)
-
 
 class Router:
     """Input-queued switch with per-output arbitration.
@@ -96,9 +63,10 @@ class Router:
     Strictly event-driven: arbitration for an output runs only when
     something that could change its outcome happens — a packet arrives
     at a queue head bound for it, its channel goes idle, a credit comes
-    back, or the local controller frees a slot.  A blocked head
-    registers exactly one wake-up (:meth:`OutputPort.request_wakeup`)
-    instead of being re-scanned on every unrelated event.
+    back, or the local controller frees a slot.  A head blocked on a
+    link registers exactly one wake-up with the link's channel
+    (``wake_when_idle``) instead of being re-scanned on every unrelated
+    event.
     """
 
     __slots__ = (
@@ -225,12 +193,12 @@ class Router:
             raise SimulationError(
                 f"router {self.name}: head packet needs unknown output {key}"
             )
-        # The dominant port type is a link; its per-candidate accept
-        # chain (port.can_accept -> link.can_send -> channel.is_free ->
-        # credit check) is loop-invariant across one arbitration round,
-        # so it flattens to three attribute tests done once per round.
-        # Every other port is a LocalOutput (add_output enforces it),
-        # whose accept/deliver functions are called directly.
+        # The dominant port type is a link; whether it can send (alive,
+        # channel free, a credit left) is loop-invariant across one
+        # arbitration round, so it is three attribute tests done once
+        # per round.  Every other port is a LocalOutput (add_output
+        # enforces it), whose accept/deliver functions are called
+        # directly.
         port, arbiter, link = entry
         accept = None if link is not None else port.accept_fn
         inputs = self.inputs
@@ -246,8 +214,9 @@ class Router:
                 ):
                     # Blocked: if any head wants this output, sleep
                     # until the one transition that can unblock it
-                    # (channel idle / credit return) instead of polling
-                    # (LinkOutput.request_wakeup, inlined).
+                    # (channel idle / credit return) instead of polling.
+                    # A dead link registers nothing: the RAS quiesce
+                    # reroutes or drops its queued packets.
                     if not link.dead:
                         for queue in inputs:
                             if queue.head_key == key:

@@ -138,9 +138,8 @@ def sum_by_label(
 # A mask keeps only the segments whose label falls under one of the
 # configured taxonomy prefixes ("mem.xfer" enables "mem.xfer.queue.*",
 # "mem.xfer.wire.*", ...).  Filtering happens at append time in the
-# transaction's segment list itself, so every producer — pure-Python
-# components and the compiled queue alike — goes through one filter,
-# and masked-out spans are still *counted* (``suppressed_ps``): the
+# transaction's segment list itself, so every producer (queues, links,
+# controllers, ports) goes through one filter, and masked-out spans are still *counted* (``suppressed_ps``): the
 # collector subtracts them from the residual, which keeps the
 # ``unattributed`` pseudo-segment a pure instrumentation-gap signal
 # instead of "everything the mask dropped".

@@ -148,21 +148,18 @@ class Engine:
         self._tracer = None
         # request_stop() latch: consumed (cleared) by the run loop when
         # it honors the request, NOT cleared at run() entry — a stop
-        # requested before run() begins (the zero-request edge) must
-        # stop the run after its first event, exactly as the old
-        # per-event ``stop_when`` predicate did.
+        # requested before run() begins (the zero-request edge) stops
+        # the run after its first event.
         self._stop = False
 
     def request_stop(self) -> None:
         """Stop the active :meth:`run` once the event now dispatching
         completes.
 
-        The deterministic replacement for a per-event ``stop_when``
-        predicate: callers flip it from *inside* an event callback (the
-        system does, when the last transaction completes), and the loop
-        honors it at the same post-event boundary the predicate was
-        checked at — dispatch order and stopping event are identical,
-        without paying a Python-level predicate call per event.
+        Callers flip it from *inside* an event callback (the system
+        does, when the last transaction completes); the loop honors it
+        after that event, so the stopping event is deterministic and no
+        per-event predicate call is paid.
         """
         self._stop = True
 
@@ -223,10 +220,7 @@ class Engine:
     # dispatch
     # ------------------------------------------------------------------
     def run(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
+        self, until: Optional[int] = None, max_events: Optional[int] = None
     ) -> int:
         """Run until the queue drains, ``until`` is reached, or a limit hits.
 
@@ -240,16 +234,16 @@ class Engine:
             many events ran and work that would run is still queued (a
             budget that is reached exactly, or that ends in a stop
             request, is not exceeded).
-        stop_when:
-            Optional predicate checked after every event; the run stops
-            as soon as it returns True.
 
-        Returns the number of events processed during this call.
+        Returns the number of events processed during this call.  An
+        event counts as processed once it leaves the queue, so when a
+        callback (or the tracer) raises, the exception propagates and
+        the ``pending`` counter still matches the queue.
         """
         if self._tracer is not None:
-            return self._run_traced(until, max_events, stop_when)
-        if until is not None or stop_when is not None:
-            return self._run_bounded(until, max_events, stop_when)
+            return self._run_traced(until, max_events)
+        if until is not None:
+            return self._run_bounded(until, max_events)
         # Fast path: run the queue dry, checking only the stop latch and
         # the event limit.  This loop dominates every simulation's
         # wall-clock time, so the heap and heappop are bound to locals
@@ -263,8 +257,8 @@ class Engine:
             while heap:
                 time, _seq, callback, args = pop(heap)
                 self.now = time
-                callback(self, *args)
                 processed += 1
+                callback(self, *args)
                 if self._stop:
                     self._stop = False
                     break
@@ -276,53 +270,36 @@ class Engine:
             self._events_processed += processed
             self._running = False
 
-    def _run_bounded(
-        self,
-        until: Optional[int],
-        max_events: Optional[int],
-        stop_when: Optional[Callable[[], bool]],
-    ) -> int:
+    def _run_bounded(self, until: int, max_events: Optional[int]) -> int:
         processed = 0
         pop = heappop
-        bounded = until is not None
         limit = _NO_LIMIT if max_events is None else max_events
         heap = self._heap
         self._running = True
         try:
             while True:
                 if not heap:
-                    if bounded and until > self.now:
+                    if until > self.now:
                         self.now = until
                     return processed
-                if bounded and heap[0][0] > until:
+                if heap[0][0] > until:
                     self.now = until
                     return processed
                 time, _seq, callback, args = pop(heap)
                 self.now = time
-                callback(self, *args)
                 processed += 1
-                if stop_when is not None and stop_when():
-                    return processed
+                callback(self, *args)
                 if self._stop:
                     self._stop = False
                     return processed
-                if (
-                    processed >= limit
-                    and heap
-                    and not (bounded and heap[0][0] > until)
-                ):
+                if processed >= limit and heap and heap[0][0] <= until:
                     raise _limit_error(max_events, time)
         finally:
             self._pending -= processed
             self._events_processed += processed
             self._running = False
 
-    def _run_traced(
-        self,
-        until: Optional[int],
-        max_events: Optional[int],
-        stop_when: Optional[Callable[[], bool]],
-    ) -> int:
+    def _run_traced(self, until: Optional[int], max_events: Optional[int]) -> int:
         """The :meth:`run` loop with per-event trace emission.
 
         Kept out of line so the untraced loops stay check-free; trace
@@ -346,13 +323,11 @@ class Engine:
                     return processed
                 time, _seq, callback, args = pop(heap)
                 self.now = time
+                processed += 1
                 tracer.engine_event(
                     time, getattr(callback, "__qualname__", repr(callback))
                 )
                 callback(self, *args)
-                processed += 1
-                if stop_when is not None and stop_when():
-                    return processed
                 if self._stop:
                     self._stop = False
                     return processed

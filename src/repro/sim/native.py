@@ -55,46 +55,3 @@ def load():
             f"not built ({_import_error}); " + BUILD_HINT
         )
     return module
-
-
-def native_engine():
-    """Construct a fresh compiled engine (``NativeEngine``)."""
-    return load().NativeEngine()
-
-
-def native_queue_class():
-    """The compiled InputQueue replacement used by the native backend."""
-    return load().NativeQueue
-
-
-_router_cls = None
-
-
-def native_router_class():
-    """A Router whose arbitration loop runs in C.
-
-    Only ``_try_output`` (the profile's hottest pure-Python frame) and
-    its two head-probing entry points move to C; construction, RAS
-    resynchronization, and every port/arbiter/tracer interaction stay
-    on the Python classes, called back from C in the exact order the
-    pure-Python loop performs them.
-    """
-    global _router_cls
-    if _router_cls is None:
-        module = load()
-        from repro.net.router import Router
-
-        class NativeRouter(Router):
-            __slots__ = ()
-
-            def _try_output(self, engine, key):
-                module.router_try_output(self, engine, key)
-
-            def packet_arrived(self, engine, queue):
-                module.router_packet_arrived(self, engine, queue)
-
-            def has_response_head(self, key):
-                return module.router_has_response_head(self, key)
-
-        _router_cls = NativeRouter
-    return _router_cls

@@ -60,20 +60,9 @@ class MemoryNetworkSystem:
         # An explicit engine selects the scheduler implementation (the
         # heap-vs-native equivalence tests run both); results are
         # bit-identical either way, so the choice is not part of the
-        # job digest.
+        # job digest.  Only the scheduler differs: every backend drives
+        # the same Python routers and input queues.
         self.engine = engine if engine is not None else Engine()
-        # The native backend compiles the network inner loop too: every
-        # input queue in the fabric is the C implementation (push/pop/
-        # head-key maintenance in C, identical semantics and counters).
-        # The pure-Python heap keeps the pure-Python queue, so the
-        # oracle stays an honest comparison point.
-        self._queue_cls = InputQueue
-        self._router_cls = Router
-        if getattr(self.engine, "scheduler", None) == "native":
-            from repro.sim.native import native_queue_class, native_router_class
-
-            self._queue_cls = native_queue_class()
-            self._router_cls = native_router_class()
         self.topology: Topology = build_topology(config)
         self.route_table = RouteTable(
             self.topology.adjacency_by_class(),
@@ -152,7 +141,7 @@ class MemoryNetworkSystem:
             spec = self.topology.nodes[node]
             context = self._arbiter_context()  # per-router arbiter state
             factory = make_arbiter_factory(self.config.arbiter, context)
-            router = self._router_cls(
+            router = Router(
                 node_id=node,
                 name=f"{spec.kind.name.lower()}{node}",
                 arbiter_factory=factory,
@@ -160,9 +149,7 @@ class MemoryNetworkSystem:
             self._routers[node] = router
             if spec.kind == NodeKind.HOST:
                 self.host_node = HostNode(
-                    router,
-                    self.config.host.inject_queue_depth,
-                    queue_cls=self._queue_cls,
+                    router, self.config.host.inject_queue_depth
                 )
             elif spec.kind == NodeKind.CUBE:
                 tech = self.config.dram if spec.tech == "DRAM" else self.config.nvm
@@ -175,7 +162,6 @@ class MemoryNetworkSystem:
                     route_response=self._route_response,
                     bank_scale=self.config.capacity_scale,
                     pool=self.packet_pool,
-                    queue_cls=self._queue_cls,
                 )
             # SWITCH nodes are pure routers: no local output needed.
 
@@ -192,7 +178,7 @@ class MemoryNetworkSystem:
             if not link_config.full_duplex:
                 shared = SharedChannel(f"{edge.a}<->{edge.b}")
             for src, dst in ((edge.a, edge.b), (edge.b, edge.a)):
-                queue = self._queue_cls(
+                queue = InputQueue(
                     f"n{dst}.from{src}", link_config.input_buffer_packets
                 )
                 dst_router = self._routers[dst]
@@ -583,9 +569,9 @@ class MemoryNetworkSystem:
             if txn.complete_ps and txn.complete_ps > self.collector.last_complete_ps:
                 self.collector.last_complete_ps = txn.complete_ps
         if self.port.done:
-            # The port flipped ``done`` immediately before this hook, so
-            # stopping here is the same event boundary the old
-            # per-event ``stop_when`` predicate stopped at.
+            # The port flipped ``done`` immediately before this hook:
+            # the run stops after the event that completed the last
+            # transaction.
             engine.request_stop()
 
     # ------------------------------------------------------------------
@@ -603,8 +589,7 @@ class MemoryNetworkSystem:
         if self.port.done:
             # Zero-request run: nothing will ever complete, so nothing
             # calls request_stop — pre-arm it so the run stops after
-            # its first event, exactly where the old per-event
-            # ``stop_when`` predicate stopped it.
+            # its first event.
             self.engine.request_stop()
         # Completion is signalled by request_stop from _transaction_done
         # (the port flips ``done`` then invokes that hook within the

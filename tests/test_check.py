@@ -177,14 +177,8 @@ class TestInjectedDefects:
                 queue = link.dst_queue
                 if len(queue):
                     # Bypass pop(): no counter bump, no credit return.
-                    items = queue._items
-                    if hasattr(items, "popleft"):
-                        items.popleft()
-                        queue._entry_times.popleft()
-                    else:
-                        # native C queue: _items is a plain list and the
-                        # entry-time view realigns itself
-                        del items[0]
+                    queue._items.popleft()
+                    queue._entry_times.popleft()
                     return
             engine.schedule(10_000, leak)
 
@@ -196,12 +190,8 @@ class TestInjectedDefects:
     @staticmethod
     def _empty_behind_pop(queue):
         # Bypass pop(): the deque empties but head_key keeps its value.
-        items = queue._items
-        if hasattr(items, "popleft"):
-            items.clear()
-            queue._entry_times.clear()
-        else:
-            del items[:]  # native C queue: _items is a plain list
+        queue._items.clear()
+        queue._entry_times.clear()
 
     @pytest.mark.parametrize("scheduler", BUILT_SCHEDULERS)
     def test_stale_head_key_reported_not_crashed(self, scheduler):

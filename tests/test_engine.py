@@ -116,12 +116,24 @@ def test_max_events_raises_on_livelock():
         engine.run(max_events=100)
 
 
-def test_stop_when_predicate_halts_run():
+def _stop_after(count, fired):
+    """A callback that logs its time and requests a stop on the
+    ``count``-th call."""
+
+    def fire(eng):
+        fired.append(eng.now)
+        if len(fired) == count:
+            eng.request_stop()
+
+    return fire
+
+
+def test_request_stop_halts_run():
     engine = Engine()
     fired = []
     for t in range(10):
-        engine.schedule(t, lambda eng: fired.append(eng.now))
-    engine.run(stop_when=lambda: len(fired) >= 3)
+        engine.schedule(t, _stop_after(3, fired))
+    engine.run()
     assert len(fired) == 3
     assert engine.pending == 7
 
@@ -160,28 +172,17 @@ def test_run_returns_processed_count():
     assert engine.run() == 4
 
 
-def test_stop_when_combined_with_until():
-    # The predicate must win even when a time bound is also active.
+def test_request_stop_combined_with_until():
+    # A stop request must win even when a time bound is also active.
     engine = Engine()
     fired = []
     for t in range(10):
-        engine.schedule(t, lambda eng: fired.append(eng.now))
-    engine.run(until=100, stop_when=lambda: len(fired) >= 2)
+        engine.schedule(t, _stop_after(2, fired))
+    engine.run(until=100)
     assert fired == [0, 1]
     assert engine.pending == 8
     # the clock stays at the stopping event, not the until bound
     assert engine.now == 1
-
-
-def test_until_combined_with_stop_when_that_never_fires():
-    engine = Engine()
-    fired = []
-    engine.schedule(5, lambda eng: fired.append(5))
-    engine.schedule(50, lambda eng: fired.append(50))
-    engine.run(until=10, stop_when=lambda: False)
-    assert fired == [5]
-    assert engine.now == 10
-    assert engine.pending == 1
 
 
 def test_max_events_counts_events_before_raise():
@@ -226,13 +227,11 @@ def _budgeted_run(engine, loop, max_events):
         return engine.run(max_events=max_events)
     if loop == "until":
         return engine.run(until=10**12, max_events=max_events)
-    if loop == "stop_when":
-        return engine.run(stop_when=lambda: False, max_events=max_events)
     engine.set_tracer(_EventLog())
     return engine.run(max_events=max_events)
 
 
-BUDGET_LOOPS = ("fast", "until", "stop_when", "traced")
+BUDGET_LOOPS = ("fast", "until", "traced")
 
 
 class TestEventBudget:
@@ -285,6 +284,55 @@ class TestEventBudget:
         assert engine.run(until=10, max_events=2) == 2
         assert engine.now == 10
         assert engine.pending == 1
+
+
+class _Boom(Exception):
+    pass
+
+
+def _boom(eng, *args):
+    raise _Boom("callback failed")
+
+
+class _RaisingTracer:
+    def engine_event(self, time, label):
+        raise _Boom("tracer failed")
+
+
+class TestRaisingCallback:
+    """An exception raised while dispatching an event propagates as is,
+    and the event it was raised for has left the queue: the ``pending``
+    counter still equals the queued count, so the auditor sees a clean
+    scheduler.  Same contract on every loop and backend."""
+
+    @pytest.mark.parametrize("loop", BUDGET_LOOPS)
+    @pytest.mark.parametrize("scheduler", BUILT_SCHEDULERS)
+    def test_callback_raise_keeps_pending_exact(self, scheduler, loop):
+        engine = Engine(scheduler)
+        engine.schedule(1, _boom, "payload", 7)
+        engine.schedule(2, lambda eng: None)
+        with pytest.raises(_Boom, match="callback failed"):
+            _budgeted_run(engine, loop, None)
+        assert engine.pending == 1
+        assert engine.events_processed == 1
+        assert engine.integrity_errors() == []
+        # the queue is intact: the next run dispatches what is left
+        assert engine.run() == 1
+        assert engine.integrity_errors() == []
+
+    @pytest.mark.parametrize("until", [None, 10])
+    @pytest.mark.parametrize("scheduler", BUILT_SCHEDULERS)
+    def test_tracer_raise_keeps_pending_exact(self, scheduler, until):
+        engine = Engine(scheduler)
+        fired = []
+        engine.schedule(1, lambda eng: fired.append(1))
+        engine.schedule(2, lambda eng: fired.append(2))
+        engine.set_tracer(_RaisingTracer())
+        with pytest.raises(_Boom, match="tracer failed"):
+            engine.run(until=until)
+        assert fired == []
+        assert engine.pending == 1
+        assert engine.integrity_errors() == []
 
 
 def test_run_until_in_past_does_not_rewind_clock():

@@ -7,15 +7,17 @@ everywhere: an unknown backend name must fail loudly with an error that
 names the valid backends (``heap`` and ``native``) and whether the
 compiled one is usable on this machine.
 
-The equivalence tests pin the compiled scheduler, queue and router as
-invisible — bit-identical digests against the heap oracle across
-topologies with observability and RAS on, plus a golden-corpus spot
-replay under the ambient override.
+The equivalence tests pin the compiled scheduler as invisible —
+bit-identical digests against the heap oracle across topologies with
+observability and RAS on, plus a golden-corpus spot replay under the
+ambient override.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -25,12 +27,18 @@ from hypothesis import strategies as st
 
 import repro.sim.engine as engine_mod
 from repro.errors import SimulationError
-from repro.net.buffers import InputQueue
-from repro.net.packet import Packet, PacketKind
 from repro.sim import native
 from repro.sim.engine import Engine, backend_status, default_scheduler
 
-from conftest import NATIVE_SKIP_REASON, fast_workload, sim_digest, small_config
+from repro.system import MemoryNetworkSystem
+
+from conftest import (
+    BUILT_SCHEDULERS,
+    NATIVE_SKIP_REASON,
+    fast_workload,
+    sim_digest,
+    small_config,
+)
 
 # conftest builds the extension when a compiler exists; a skip carries
 # the compiler's error.
@@ -219,61 +227,75 @@ def test_native_pops_identically_to_heap(initial, chained):
 
 
 # ---------------------------------------------------------------------------
-# NativeQueue duck compatibility with InputQueue
+# Reference leaks in the compiled scheduler
 # ---------------------------------------------------------------------------
-def _packet(pid_hint: int) -> Packet:
-    pkt = Packet(
-        kind=PacketKind.READ_REQ,
-        address=64 * pid_hint,
-        src=-1,
-        dest=3,
-        size_bits=128,
-        create_ps=0,
-    )
-    pkt.route = [0, 1, 3]
-    pkt.hop_index = 0
-    return pkt
+def _traced_growth(work, rounds: int) -> int:
+    """Bytes still allocated after ``rounds`` more calls of ``work``,
+    measured by tracemalloc once two warm-up calls have filled every
+    lazily built cache.  ``sys.getallocatedblocks()`` is not used: it
+    moves by a few blocks between runs on either backend (interpreter
+    caches) with no traced allocation behind it."""
+    work()
+    work()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        work()
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(rounds):
+            work()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
 
 
-@needs_native
-class TestNativeQueueCompat:
-    def test_fifo_and_bookkeeping_match_input_queue(self):
-        compiled = native.native_queue_class()("q", 4)
-        reference = InputQueue("q", 4)
-        for i in range(4):
-            compiled.push(_packet(i), 10 * i)
-            reference.push(_packet(i), 10 * i)
-        assert len(compiled) == len(reference) == 4
-        assert not compiled.has_space() and not reference.has_space()
-        assert compiled.head_key == reference.head_key
-        order_c = [compiled.pop(100).address for _ in range(4)]
-        order_r = [reference.pop(100).address for _ in range(4)]
-        assert order_c == order_r
-        assert compiled.is_empty and reference.is_empty
-        assert compiled.total_wait_ps == reference.total_wait_ps
-        assert compiled.pushed == reference.pushed
-        assert compiled.pops == reference.pops
-        assert compiled.popped == reference.popped
+class _Boom(Exception):
+    pass
 
-    def test_overflow_and_empty_errors(self):
-        queue = native.native_queue_class()("q", 1)
-        queue.push(_packet(0), 0)
-        with pytest.raises(SimulationError):
-            queue.push(_packet(1), 0)
-        queue.pop(5)
-        with pytest.raises(SimulationError):
-            queue.pop(5)
-        with pytest.raises(SimulationError):
-            queue.head()
 
-    def test_remove_keeps_entry_times_aligned(self):
-        queue = native.native_queue_class()("q", 8)
-        packets = [_packet(i) for i in range(4)]
-        for i, pkt in enumerate(packets):
-            queue.push(pkt, 10 * i)
-        dropped = queue.remove({packets[1], packets[2]})
-        assert dropped == 2
-        assert queue.packets() == (packets[0], packets[3])
-        queue.pop(100)  # entered at t=0 -> wait 100
-        queue.pop(100)  # entered at t=30 -> wait 70
-        assert queue.total_wait_ps == 170
+def _boom(eng, *args):
+    raise _Boom
+
+
+def _noop(eng, *args):
+    pass
+
+
+#: Allowed growth over the measured rounds.  Both backends measure 0
+#: here; leaking one argument tuple per event adds hundreds of KB.
+_LEAK_SLACK_BYTES = 16 * 1024
+
+
+@pytest.mark.parametrize("scheduler", BUILT_SCHEDULERS)
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_repeated_runs_hold_memory_flat(scheduler, traced):
+    config = small_config()
+    if traced:
+        config = config.with_obs(trace=True, trace_engine_events=True)
+
+    def work():
+        MemoryNetworkSystem(
+            config, fast_workload(), requests=60, engine=Engine(scheduler)
+        ).run()
+
+    assert _traced_growth(work, rounds=4) < _LEAK_SLACK_BYTES
+
+
+@pytest.mark.parametrize("scheduler", BUILT_SCHEDULERS)
+def test_raising_callbacks_hold_memory_flat(scheduler):
+    # Argument tuples of the raising event and of the events left queued
+    # behind it must be released on the error path and by the engine's
+    # teardown.
+    def work():
+        for i in range(300):
+            engine = Engine(scheduler)
+            engine.schedule(1, _boom, object(), [i])
+            engine.schedule(2, _noop, object(), (i,))
+            try:
+                engine.run()
+            except _Boom:
+                pass
+
+    assert _traced_growth(work, rounds=4) < _LEAK_SLACK_BYTES
