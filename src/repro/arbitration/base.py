@@ -6,7 +6,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
-from repro.net.packet import Packet, PacketKind
+from repro.net.packet import Packet
 
 # One candidate per input queue: (stable input index, head packet).
 Candidate = Tuple[int, Packet]
@@ -64,9 +64,6 @@ class OutputArbiter(abc.ABC):
     @abc.abstractmethod
     def pick(self, now_ps: int, candidates: List[Candidate]) -> int:
         """Return the index (into ``candidates``) of the winning input."""
-
-    def record_grant(self) -> None:
-        self.grants += 1
 
 
 class WeightedDeficitMixin:

@@ -25,7 +25,7 @@ class RoundRobinArbiter(OutputArbiter):
         if len(candidates) == 1:
             # Uncontended round: same outcome as the scan below.  The
             # pointer still advances — that is part of the arbitration
-            # state and must not depend on the engine backend.
+            # state, so the shortcut must leave it as the scan would.
             self._pointer = candidates[0][0] + 1
             return 0
         best_pos = 0

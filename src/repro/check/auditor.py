@@ -62,7 +62,7 @@ ras.consistency       dead edges stay dead: both directions marked, no
 
 :meth:`InvariantAuditor.audit` raises :class:`repro.errors.
 InvariantViolation` carrying every failed check plus the run context
-(config label, workload, seed, scheduler, request count) needed to
+(config label, workload, seed, request count) needed to
 reproduce; :meth:`collect` returns the violation list without raising.
 """
 
@@ -158,7 +158,6 @@ class InvariantAuditor:
             "workload": system.workload_spec.name,
             "seed": system.config.seed,
             "requests": system.requests,
-            "scheduler": system.engine.scheduler,
         }
 
     # ------------------------------------------------------------------

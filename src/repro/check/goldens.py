@@ -29,8 +29,8 @@ from repro.serialization import result_digest
 from repro.units import GIB_BYTES
 from repro.workloads import WorkloadSpec
 
-#: Request count for one matrix simulation (matches the scheduler
-#: equivalence suite's scale: seconds, not minutes, for the whole grid).
+#: Request count for one matrix simulation (seconds, not minutes, for
+#: the whole grid).
 MATRIX_REQUESTS = 150
 
 #: Smoke scale for the experiment corpus.
@@ -220,9 +220,9 @@ def run_fleet_case(fleet, audit: bool = True) -> Dict[str, object]:
     """Run one fleet case on a fresh serial runner; reduce to a golden.
 
     The digest is :meth:`repro.fleet.FleetResult.digest` — identical
-    for any fold order, worker count, scheduler engine, and cache
-    temperature, so this entry also re-certifies the fleet determinism
-    contract on every verification run.
+    for any fold order, worker count, and cache temperature, so this
+    entry also re-certifies the fleet determinism contract on every
+    verification run.
     """
     from repro.check import audits
     from repro.fleet import run_fleet

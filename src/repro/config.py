@@ -132,12 +132,6 @@ class MemTechConfig:
     def row_miss_read_ps(self) -> int:
         return self.trp_ps + self.trcd_ps + self.tcl_ps
 
-    def row_hit_write_ps(self) -> int:
-        return self.tcl_ps
-
-    def row_miss_write_ps(self) -> int:
-        return self.trp_ps + self.trcd_ps + self.tcl_ps
-
     def write_recovery_ps(self) -> int:
         """Bank occupancy after a write completes (dominant for PCM)."""
         return self.twr_ps

@@ -30,7 +30,7 @@ class InvariantViolation(SimulationError):
     structured context needed to reproduce the failing run: each entry in
     ``violations`` is a ``(invariant, component, detail)`` triple, and
     ``context`` holds the audit point, simulated time, config label,
-    workload, seed, scheduler, and request count.
+    workload, seed, and request count.
     """
 
     def __init__(self, violations, context):

@@ -12,7 +12,6 @@ from typing import List, Optional
 from repro.config import SystemConfig
 from repro.experiments.registry import experiment_ids, get_experiment
 from repro.runner import configure_runner, default_jobs
-from repro.sim.engine import SCHEDULERS
 from repro.workloads import get_workload
 
 
@@ -81,14 +80,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "results and cache entries are unchanged)",
     )
     parser.add_argument(
-        "--engine",
-        choices=SCHEDULERS,
-        default=None,
-        help="event-scheduler backend (exported as REPRO_ENGINE so worker "
-        "processes use it too; results, digests and cache entries are "
-        "identical across backends — native needs the compiled extension)",
-    )
-    parser.add_argument(
         "--profile",
         metavar="PATH",
         nargs="?",
@@ -102,8 +93,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.audit:
         os.environ["REPRO_AUDIT"] = "1"
-    if args.engine:
-        os.environ["REPRO_ENGINE"] = args.engine
 
     if args.experiment == "list":
         for experiment_id in experiment_ids():

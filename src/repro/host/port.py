@@ -341,21 +341,6 @@ class HostPort:
             self.burst_mode_toggles += 1
 
     # -- injection ---------------------------------------------------------------
-    def _has_room(self, txn: Transaction) -> bool:
-        """Reads use the MLP window; writes use the store buffer.
-
-        Writes leave the core's critical path once issued (Section 4.2),
-        so they must not consume read MLP — this is what lets the
-        skip-list push writes onto longer paths without stalling reads.
-        Peer-to-peer copies ride the DMA engine's queue, sized like the
-        store buffer, for the same reason.
-        """
-        if txn.is_write:
-            return self.outstanding_writes < self.config.host.store_buffer_entries
-        if txn.is_p2p:
-            return self.outstanding_p2p < self.config.host.store_buffer_entries
-        return self.outstanding_reads < self.window
-
     def _select_next(
         self, read_room: bool, write_room: bool, p2p_room: bool = False
     ) -> Optional[Transaction]:
@@ -431,6 +416,11 @@ class HostPort:
                 read_room = write_room = True
                 p2p_room = bool(self._pending_p2p)
             else:
+                # Reads use the MLP window; writes use the store buffer.
+                # Writes leave the core's critical path once issued
+                # (Section 4.2), so they must not consume read MLP: this
+                # lets the skip-list push writes onto longer paths
+                # without stalling reads.
                 read_room = self.outstanding_reads < self.window
                 write_room = self.outstanding_writes < host.store_buffer_entries
                 if self._pending_p2p:

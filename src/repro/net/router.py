@@ -130,12 +130,6 @@ class Router:
     def arbiter_for(self, key: int) -> OutputArbiter:
         return self._arbiters[key]
 
-    # -- routing ----------------------------------------------------------
-    def _output_key(self, packet: Packet) -> int:
-        if packet.at_destination:
-            return LOCAL
-        return packet.next_node
-
     # -- event entry points -------------------------------------------------
     def packet_arrived(self, engine: Engine, queue: InputQueue) -> None:
         """A packet was pushed into one of our input queues.

@@ -236,14 +236,6 @@ class TraceRecorder:
             name: busy / span for name, busy in sorted(self.link_busy_ps.items())
         }
 
-    def queue_depth_series(self) -> Dict[str, List[Tuple[int, int]]]:
-        """Per-queue (timestamp, depth) samples still present in the ring."""
-        series: Dict[str, List[Tuple[int, int]]] = {}
-        for event in self._raw_events():
-            if event[1] == QUEUE:
-                series.setdefault(event[2], []).append((event[0], event[3]))
-        return series
-
     def summary(self, runtime_ps: Optional[int] = None) -> Dict[str, object]:
         return {
             "events_emitted": self.emitted,

@@ -131,9 +131,6 @@ class ResultCache:
                 pass
 
     # ------------------------------------------------------------------
-    def clear_memory(self) -> None:
-        self._memory.clear()
-
     def drop_memory(self, digest: str) -> None:
         """Evict one entry from the memory layer.
 

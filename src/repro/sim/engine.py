@@ -1,88 +1,22 @@
 """Event scheduler with an integer picosecond clock.
 
-Two schedulers live behind one API:
-
-* ``heap`` (the default) — a single binary heap (``heapq``) over every
-  pending event.  It is the determinism oracle the native backend is
-  checked against.
-* ``native`` — the compiled C scheduler (:mod:`repro.sim.native`),
-  optional and built in-tree; ``Engine("native")`` hands back its
-  ``NativeEngine`` type.
-
-Events are ``(time, sequence, callback, args)`` tuples ordered by time
-and, for equal times, by scheduling order — bit-identical results
-regardless of scheduler.  The scheduler choice is therefore *not* part
-of any job digest (see :mod:`repro.runner.job`); it may be picked
-ambiently via the ``REPRO_ENGINE`` environment variable, which also
-reaches runner worker processes.
+One binary heap (``heapq``) holds every pending event.  Events are
+``(time, sequence, callback, args)`` tuples ordered by time and, for
+equal times, by scheduling order, so a run is deterministic.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 
-#: Valid scheduler names, in documentation order.
-SCHEDULERS = ("heap", "native")
-
-#: Environment variable selecting the ambient default scheduler (used
-#: when an Engine is built without an explicit choice — including the
-#: engines built inside runner worker processes).
-ENGINE_ENV = "REPRO_ENGINE"
-
 _NO_ARGS: tuple = ()
 
 #: Event limit of a run without ``max_events``: never reached.
 _NO_LIMIT = sys.maxsize
-
-
-def backend_status() -> str:
-    """One line naming the valid backends and whether the compiled one
-    is built here — appended to every unknown-backend error."""
-    from repro.sim import native
-
-    built = "extension built" if native.available() else "extension not built"
-    return f"valid backends: 'heap', 'native' ({built})"
-
-
-def default_scheduler() -> str:
-    """The ambient scheduler: ``$REPRO_ENGINE``, else ``heap``."""
-    env = os.environ.get(ENGINE_ENV)
-    if not env:
-        return "heap"
-    if env not in SCHEDULERS:
-        raise SimulationError(
-            f"unknown {ENGINE_ENV}={env!r}; " + backend_status()
-        )
-    return env
-
-
-_ambient_native_warned = False
-
-
-def _ambient_native_fallback() -> None:
-    """Warn once when ``REPRO_ENGINE=native`` is set but the compiled
-    extension is not built; the run proceeds on ``heap``.  An env var
-    set fleet-wide must not break machines without a compiler — only an
-    *explicit* ``Engine("native")`` raises."""
-    global _ambient_native_warned
-    if _ambient_native_warned:
-        return
-    _ambient_native_warned = True
-    import warnings
-
-    from repro.sim.native import BUILD_HINT
-
-    warnings.warn(
-        f"{ENGINE_ENV}=native but the compiled engine is not built; "
-        "falling back to the 'heap' scheduler — " + BUILD_HINT,
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 def _limit_error(max_events: int, now: int) -> SimulationError:
@@ -113,32 +47,16 @@ class Engine:
         "_running",
         "_tracer",
         "_stop",
-        "scheduler",
     )
 
-    def __new__(cls, scheduler: Optional[str] = None):
-        # ``Engine("native")`` builds the compiled C scheduler.  The
-        # native type is not an Engine subclass, so returning it skips
-        # ``__init__`` entirely — exactly the duck-typed hand-off the
-        # runner and system expect.
-        choice = scheduler if scheduler is not None else default_scheduler()
-        if choice == "native":
-            from repro.sim import native
+    #: The scheduler's name, kept for callers that record it.
+    scheduler = "heap"
 
-            if scheduler is not None or native.available():
-                return native.load().NativeEngine()
-            # Ambient selection falls back to heap (with one warning).
-            _ambient_native_fallback()
-        return object.__new__(cls)
-
-    def __init__(self, scheduler: Optional[str] = None) -> None:
-        # __new__ already resolved an ambient choice (``None``) to heap
-        # or handed back a native engine; any other name is unknown.
-        if scheduler not in (None, "heap"):
+    def __init__(self, scheduler: str = "heap") -> None:
+        if scheduler != "heap":
             raise SimulationError(
-                f"unknown scheduler backend {scheduler!r}; " + backend_status()
+                f"unknown scheduler {scheduler!r}; the only scheduler is 'heap'"
             )
-        self.scheduler = "heap"
         self._heap: list = []
         self.now: int = 0
         self._seq: int = 0
@@ -228,7 +146,8 @@ class Engine:
         ----------
         until:
             Absolute time bound (inclusive).  Events scheduled later stay
-            queued and ``now`` advances to ``until``.
+            queued and ``now`` advances to ``until`` (a bound already in
+            the past leaves the clock where it is).
         max_events:
             Safety valve against runaway simulations: raises once this
             many events ran and work that would run is still queued (a
@@ -278,12 +197,9 @@ class Engine:
         self._running = True
         try:
             while True:
-                if not heap:
+                if not heap or heap[0][0] > until:
                     if until > self.now:
                         self.now = until
-                    return processed
-                if heap[0][0] > until:
-                    self.now = until
                     return processed
                 time, _seq, callback, args = pop(heap)
                 self.now = time
@@ -314,12 +230,9 @@ class Engine:
         self._running = True
         try:
             while True:
-                if not heap:
+                if not heap or (bounded and heap[0][0] > until):
                     if bounded and until > self.now:
                         self.now = until
-                    return processed
-                if bounded and heap[0][0] > until:
-                    self.now = until
                     return processed
                 time, _seq, callback, args = pop(heap)
                 self.now = time
@@ -382,6 +295,10 @@ class Engine:
         return problems
 
     def drain(self) -> None:
-        """Discard all pending events (used to tear a system down)."""
+        """Discard all pending events (used to tear a system down).
+
+        Safe from inside a callback: the counter drops by what was
+        queued, so the run loop's settle still leaves it exact.
+        """
+        self._pending -= len(self._heap)
         self._heap.clear()
-        self._pending = 0

@@ -57,11 +57,9 @@ class MemoryNetworkSystem:
         self.config = config
         self.workload_spec = workload
         self.requests = requests
-        # An explicit engine selects the scheduler implementation (the
-        # heap-vs-native equivalence tests run both); results are
-        # bit-identical either way, so the choice is not part of the
-        # job digest.  Only the scheduler differs: every backend drives
-        # the same Python routers and input queues.
+        # Tests pass their own engine to inspect or pre-load it; the
+        # engine holds no configuration, so it is not part of the job
+        # digest.
         self.engine = engine if engine is not None else Engine()
         self.topology: Topology = build_topology(config)
         self.route_table = RouteTable(

@@ -82,7 +82,3 @@ PJ = 1.0
 NJ = 1_000 * PJ
 UJ = 1_000 * NJ
 MJ = 1_000 * UJ
-
-
-def picojoules_to_microjoules(pj: float) -> float:
-    return pj / UJ

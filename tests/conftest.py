@@ -7,11 +7,9 @@ from typing import Optional, Tuple
 
 import pytest
 
-from repro.config import HostConfig, SystemConfig
+from repro.config import SystemConfig
 from repro.results import SimResult
 from repro.runner import ParallelRunner
-from repro.serialization import result_digest
-from repro.sim import native, native_build
 from repro.sim.engine import Engine
 from repro.system import MemoryNetworkSystem
 from repro.units import GIB_BYTES
@@ -27,33 +25,6 @@ if importlib.util.find_spec("pytest_timeout") is None:
             "per-test timeout in seconds (enforced only with pytest-timeout)",
             default=None,
         )
-
-
-def _build_native() -> str:
-    """Build the compiled engine unless its artifact is fresh.
-
-    Returns why the native backend is unusable, or ``""`` when it is
-    usable.  Runs at import, before anything calls
-    ``native.available()``: the loader caches an import failure, so a
-    build after the first probe would not be seen.
-    """
-    try:
-        native_build.build(quiet=True)
-    except RuntimeError as exc:
-        return str(exc)
-    if not native.available():
-        return "compiled engine built but not importable: " + native._import_error
-    return ""
-
-
-#: Why native tests skip here (the compiler's error), or "" when the
-#: compiled engine is built and importable.
-NATIVE_SKIP_REASON = _build_native()
-
-#: Scheduler backends usable here: the heap oracle always, plus the
-#: compiled engine when it builds (cross-engine tests run every leg in
-#: this tuple, so the native leg is absent only without a compiler).
-BUILT_SCHEDULERS = ("heap",) if NATIVE_SKIP_REASON else ("heap", "native")
 
 
 def small_config(**overrides) -> SystemConfig:
@@ -124,20 +95,6 @@ def run_sim(
 ) -> SimResult:
     """:func:`run_system` for tests that only need the result."""
     return run_system(config, workload, requests, **kwargs)[1]
-
-
-def sim_digest(
-    config: Optional[SystemConfig] = None,
-    workload: Optional[WorkloadSpec] = None,
-    requests: int = 150,
-    scheduler: str = "heap",
-    **kwargs,
-) -> Tuple[str, int]:
-    """Lossless result digest + event count of one direct run."""
-    _, result = run_system(
-        config, workload, requests, engine=Engine(scheduler), **kwargs
-    )
-    return result_digest(result), result.events_processed
 
 
 def run_via_fold(runner, batch, on_error: str = "raise") -> list:

@@ -21,11 +21,9 @@ from repro.check import (
     set_audits,
 )
 from repro.serialization import result_digest
-from repro.sim.engine import Engine
 from repro.system import MemoryNetworkSystem
 
 from conftest import (
-    BUILT_SCHEDULERS,
     fast_workload,
     run_sim,
     run_system,
@@ -193,8 +191,7 @@ class TestInjectedDefects:
         queue._items.clear()
         queue._entry_times.clear()
 
-    @pytest.mark.parametrize("scheduler", BUILT_SCHEDULERS)
-    def test_stale_head_key_reported_not_crashed(self, scheduler):
+    def test_stale_head_key_reported_not_crashed(self):
         # A shared channel with both directions waiting re-arbitrates
         # through has_response_head when it goes idle.  A sender queue
         # whose head_key outlived its packets must be skipped there (as
@@ -205,7 +202,6 @@ class TestInjectedDefects:
             fast_workload(),
             requests=120,
             audit=True,
-            engine=Engine(scheduler),
         )
         emptied = []
         granted = []
@@ -247,14 +243,12 @@ class TestInjectedDefects:
         assert stale_queues == set(emptied)
 
     def _finished_heap_system(self):
-        # White-box: reaches into the Python heap, so pin the heap
-        # scheduler regardless of any ambient REPRO_ENGINE.
+        # White-box: the tests below reach into the engine's heap.
         system = MemoryNetworkSystem(
             small_config(),
             fast_workload(),
             requests=40,
             audit=True,
-            engine=Engine("heap"),
         )
         system.run()
         return system
@@ -292,7 +286,6 @@ class TestInjectedDefects:
         assert violation.context["workload"] == "TEST"
         assert violation.context["seed"] == system.config.seed
         assert violation.context["requests"] == system.requests
-        assert violation.context["scheduler"] == system.engine.scheduler
         assert violation.context["point"] in ("final", "stall")
         # Each violation is a (invariant, component, detail) triple and
         # all of it lands in the printable message.

@@ -34,10 +34,9 @@ from repro.serialization import (
     result_to_dict,
     result_to_state,
 )
-from repro.sim.engine import Engine
 from repro.sim.stats import Histogram
 
-from conftest import BUILT_SCHEDULERS, fast_workload, run_system, small_config
+from conftest import fast_workload, run_system, small_config
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +303,8 @@ TRACE_PINS = {
 
 
 class TestTracePins:
-    @pytest.mark.parametrize("scheduler", BUILT_SCHEDULERS)
     @pytest.mark.parametrize("sample", sorted(TRACE_PINS))
-    def test_dump_bytes_pinned(self, tmp_path, monkeypatch, sample, scheduler):
+    def test_dump_bytes_pinned(self, tmp_path, monkeypatch, sample):
         # Packet and transaction ids come from process-wide counters and
         # appear in the dumps; restart them so the run traces as it
         # would in a fresh process, whatever ran before it.
@@ -315,7 +313,7 @@ class TestTracePins:
         config = small_config().with_obs(
             attribution=True, trace=True, trace_sample=sample
         )
-        system, _ = run_system(config, requests=60, engine=Engine(scheduler))
+        system, _ = run_system(config, requests=60)
         jsonl, chrome = system.dump_trace(str(tmp_path))
         digests = tuple(
             hashlib.sha256(Path(path).read_bytes()).hexdigest()

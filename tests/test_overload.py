@@ -15,11 +15,9 @@ from repro.units import ns
 from repro.workloads.base import VALID_ARRIVALS
 
 from conftest import (
-    BUILT_SCHEDULERS,
     fast_workload,
     run_sim,
     run_system,
-    sim_digest,
     small_config,
 )
 
@@ -212,19 +210,6 @@ class TestOverloadBehaviour:
         first = self.run_overloaded()[1]
         second = self.run_overloaded()[1]
         assert result_digest(first) == result_digest(second)
-
-
-class TestEngineEquivalence:
-    def test_overload_digest_identical_across_engines(self):
-        config = overload_config().with_obs(attribution=True)
-        workload = open_workload()
-        digests = {
-            scheduler: sim_digest(
-                config, workload, requests=150, scheduler=scheduler, audit=True
-            )
-            for scheduler in BUILT_SCHEDULERS
-        }
-        assert len(set(digests.values())) == 1, digests
 
 
 class TestAttributionTiling:

@@ -15,9 +15,8 @@ from repro.errors import ConfigError, WorkloadError
 from repro.net.packet import Packet, PacketKind
 from repro.obs import UNATTRIBUTED, phase_of, three_way_ns
 from repro.serialization import result_digest, result_from_state, result_to_state
-from repro.sim.engine import Engine
 
-from conftest import BUILT_SCHEDULERS, fast_workload, run_system, small_config
+from conftest import fast_workload, run_system, small_config
 
 
 def p2p_workload(fraction=0.2, **overrides):
@@ -129,25 +128,6 @@ class TestRelay:
             small_config(p2p_pattern=P2P_PROMOTE), p2p_workload(), requests=200
         )[1]
         assert result_digest(neighbor) == result_digest(promote)
-
-
-# ---------------------------------------------------------------------------
-# Engine equivalence
-# ---------------------------------------------------------------------------
-class TestEngineEquivalence:
-    def test_engines_agree_on_p2p(self):
-        config = p2p_config().with_obs(attribution=True)
-        digests = set()
-        for scheduler in BUILT_SCHEDULERS:
-            _, result = run_system(
-                config,
-                p2p_workload(),
-                requests=250,
-                engine=Engine(scheduler),
-                audit=True,
-            )
-            digests.add(result_digest(result))
-        assert len(digests) == 1
 
 
 # ---------------------------------------------------------------------------

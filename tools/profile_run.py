@@ -1,15 +1,14 @@
 """Profile one simulation under cProfile and print the hot functions.
 
-The engine-throughput work that produced the compiled scheduler and
-the event-driven router wake-ups was driven by exactly this view: run a
-representative configuration, sort by cumulative or total time, and
-attack the top of the list.  Kept as a first-class tool so the next
+The engine-throughput work that produced the event-driven router
+wake-ups was driven by exactly this view: run a representative
+configuration, sort by cumulative or total time, and attack the top of
+the list.  Kept as a first-class tool so the next
 optimization round starts from a measurement, not a guess.
 
 Before the flat listing it prints a per-component rollup: every
-profiled frame is bucketed by the ``repro`` module that owns it
-(compiled-extension methods land in ``sim._native [C]``), and the
-buckets are ranked by the time spent in their own code.  That table
+profiled frame is bucketed by the ``repro`` module that owns it, and
+the buckets are ranked by the time spent in their own code.  That table
 answers "which component do I attack next" directly, without mentally
 summing a dozen pstats rows per file.
 
@@ -18,7 +17,6 @@ Usage::
     PYTHONPATH=src python tools/profile_run.py [--requests N]
         [--workload NAME] [--label CONFIG] [--sort tottime|cumtime]
         [--limit N] [--obs] [--stats PATH]
-        [--engine {heap,native}]
 
 ``--stats PATH`` additionally dumps the raw pstats file for
 ``snakeviz``/``pstats`` post-processing.  ``--label`` accepts the same
@@ -30,22 +28,17 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
-import re
 import sys
 
 from repro.config import SystemConfig, parse_label
-from repro.sim.engine import SCHEDULERS, Engine
 from repro.system import MemoryNetworkSystem
 from repro.units import TIB_BYTES
 from repro.workloads import get_workload
 
-_NATIVE_FRAME = re.compile(r"\brepro\.sim\._native\b")
-
-
 def _component_of(frame_key: tuple) -> str:
     """Bucket one pstats frame ``(filename, lineno, funcname)`` by the
     repro component that owns it."""
-    filename, _lineno, funcname = frame_key
+    filename, _lineno, _funcname = frame_key
     path = filename.replace("\\", "/")
     marker = "/repro/"
     at = path.rfind(marker)
@@ -56,8 +49,6 @@ def _component_of(frame_key: tuple) -> str:
         # One level below the package keeps the table readable:
         # net/link.py -> net.link, sim/engine.py -> sim.engine.
         return ".".join(parts[:2]) if parts else "repro"
-    if _NATIVE_FRAME.search(funcname):
-        return "sim._native [C]"
     if filename == "~" or filename.startswith("<"):
         return "(interpreter built-ins)"
     return "(stdlib/other)"
@@ -89,19 +80,13 @@ def profile_simulation(
     sort: str,
     limit: int,
     stats_path: str | None,
-    engine: str | None = None,
 ) -> None:
     config = SystemConfig(total_capacity_bytes=TIB_BYTES)
     if label:
         config = parse_label(label, config)
     if obs:
         config = config.with_obs(attribution=True)
-    system = MemoryNetworkSystem(
-        config,
-        get_workload(workload),
-        requests=requests,
-        engine=Engine(engine) if engine else None,
-    )
+    system = MemoryNetworkSystem(config, get_workload(workload), requests=requests)
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -143,15 +128,10 @@ def main(argv=None) -> int:
         "--stats", default=None, metavar="PATH",
         help="also dump the raw pstats file to PATH",
     )
-    parser.add_argument(
-        "--engine", default=None, choices=SCHEDULERS,
-        help="event-scheduler backend to profile (default: the ambient "
-        "one — REPRO_ENGINE or the heap)",
-    )
     args = parser.parse_args(argv)
     profile_simulation(
         args.requests, args.workload, args.label, args.obs,
-        args.sort, args.limit, args.stats, args.engine,
+        args.sort, args.limit, args.stats,
     )
     return 0
 
