@@ -9,7 +9,12 @@ event ``trace`` recording.
 Cells are measured in interleaved rounds (round-robin over every cell
 per repeat) so machine-load drift biases no single cell, and each cell
 reports the best round (events/second is a throughput: the
-minimum-noise run is the honest one on a shared machine).
+minimum-noise run is the honest one on a shared machine).  Overheads
+are the median over rounds of each cell against the obs-off cell of
+the same round: a shared machine's speed drifts by tens of percent
+between rounds, and a ratio of two best rounds taken from different
+moments inherits that drift, while cells of one round run back to
+back.
 
 Results land in ``BENCH_engine.json`` together with the packet-pool
 recycling counters and a timestamped ``trend`` list that accumulates
@@ -30,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from datetime import datetime, timezone
@@ -120,18 +126,20 @@ def main(argv=None) -> int:
         f"best of {args.repeats} interleaved rounds",
         flush=True,
     )
-    rates = {f"heap_{label}": 0.0 for label, _ in configs}
+    round_rates = {label: [] for label, _ in configs}
     digest = events = pool_stats = None
     for _round in range(args.repeats):
         for obs_label, config in configs:
             rate, result, system = run_cell(args.requests, config)
-            key = f"heap_{obs_label}"
-            rates[key] = max(rates[key], rate)
+            round_rates[obs_label].append(rate)
             if obs_label == "off":
                 digest = result_digest(result)
                 events = result.events_processed
                 pool_stats = system.packet_pool.stats()
-    rates = {key: round(rate) for key, rate in rates.items()}
+    rates = {
+        f"heap_{label}": round(max(per_round))
+        for label, per_round in round_rates.items()
+    }
     for obs_label, _config in configs:
         print(f"  {obs_label:11s}: {rates[f'heap_{obs_label}'] / 1e3:7.0f}k events/s")
     print(f"  result digest    : {digest[:16]} ({events} events)")
@@ -142,10 +150,14 @@ def main(argv=None) -> int:
     )
 
     def overhead(obs_label: str):
-        base = rates["heap_off"]
-        if not base:
+        paired = [
+            1 - rate / base
+            for rate, base in zip(round_rates[obs_label], round_rates["off"])
+            if base
+        ]
+        if not paired:
             return None
-        return round(1 - rates[f"heap_{obs_label}"] / base, 3)
+        return round(statistics.median(paired), 3)
 
     output = Path(args.output)
     payload = {

@@ -8,7 +8,7 @@ Section 4.2) and are generally useful for debugging new topologies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.analysis.tables import render_table
 from repro.topology.base import LinkKind

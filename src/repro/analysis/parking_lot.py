@@ -12,11 +12,10 @@ finished simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.analysis.tables import render_table
 from repro.memory.cube import LOCAL_INPUTS
-from repro.topology.base import NodeKind
 from repro.units import to_ns
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.arbitration.base import ArbiterContext, Candidate, OutputArbiter
+from repro.arbitration.base import Candidate, OutputArbiter
 
 
 class AgeArbiter(OutputArbiter):

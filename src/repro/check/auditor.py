@@ -33,8 +33,7 @@ router.accounting     grants issued == packets popped from the inputs
 controller.admission  queue + reservations never exceed the depth
 port.window           outstanding reads/writes/p2p copies stay within
                       the MLP window and store buffer
-port.backlog          the split pending lists tile the pending list and
-                      the per-kind counters tile the totals
+port.backlog          the per-kind pending piles tile the pending list
 port.directory        directory outstanding writes == port outstanding
                       writes
 txn.conservation      generated == completed + failed + timed-out +
@@ -51,8 +50,8 @@ p2p.leak              no P2P_XFER packet is ever queued on a route that
 obs.attribution       segment sums tile end-to-end latency exactly
                       (zero unattributed residual); under full
                       attribution also per phase against the latency
-                      components (sampled or masked runs cover only
-                      part of the components' population)
+                      components (sampled runs cover only part of the
+                      components' population)
 energy.totals         the reported energy equals a recomputation from
                       per-link bit counts and per-cube access counts
 ras.consistency       dead edges stay dead: both directions marked, no
@@ -68,10 +67,11 @@ reproduce; :meth:`collect` returns the violation list without raising.
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING, List, Tuple
 
 from repro.errors import InvariantViolation
-from repro.net.packet import PacketKind
+from repro.net.packet import KIND_P2P, KIND_WRITE, PacketKind
 from repro.net.routing import RouteClass
 from repro.obs.attribution import UNATTRIBUTED, PHASES, phase_of
 from repro.topology.base import LinkKind
@@ -82,6 +82,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: (invariant, component, detail)
 Violation = Tuple[str, str, str]
+
+#: The host port's transaction kinds as violation messages name them,
+#: in ``Transaction.kind`` order.
+_KIND_LABELS = ("reads", "writes", "p2p copies")
 
 
 class InvariantAuditor:
@@ -352,71 +356,32 @@ class InvariantAuditor:
     def _check_port(self, out: List[Violation], final: bool) -> None:
         port = self.system.port
         host = port.config.host
-        if port.open_loop:
-            # Open-loop injection bypasses the window, so only the
-            # sign of the counters is checkable.
-            for name in ("outstanding_reads", "outstanding_writes",
-                         "outstanding_p2p"):
-                if getattr(port, name) < 0:
-                    out.append((
-                        "port.window", "port",
-                        f"negative {name}: {getattr(port, name)}",
-                    ))
-        else:
-            if not 0 <= port.outstanding_reads <= port.window:
+        outstanding = port.outstanding_by_kind
+        # Open-loop injection bypasses the window, so only the sign of
+        # the slot counts is checkable there.
+        bounds = (
+            (inf, inf, inf) if port.open_loop
+            else (port.window, host.store_buffer_entries,
+                  host.store_buffer_entries)
+        )
+        for kind, held, bound in zip(_KIND_LABELS, outstanding, bounds):
+            if not 0 <= held <= bound:
                 out.append((
                     "port.window", "port",
-                    f"outstanding reads {port.outstanding_reads} outside "
-                    f"[0, {port.window}]",
+                    f"outstanding {kind} {held} outside [0, {bound}]",
                 ))
-            if not 0 <= port.outstanding_writes <= host.store_buffer_entries:
-                out.append((
-                    "port.window", "port",
-                    f"outstanding writes {port.outstanding_writes} outside "
-                    f"[0, {host.store_buffer_entries}]",
-                ))
-            if not 0 <= port.outstanding_p2p <= host.store_buffer_entries:
-                out.append((
-                    "port.window", "port",
-                    f"outstanding p2p copies {port.outstanding_p2p} outside "
-                    f"[0, {host.store_buffer_entries}]",
-                ))
-        reads = len(port._pending_reads)
-        writes = len(port._pending_writes)
-        p2p = len(port._pending_p2p)
-        if len(port.pending) != reads + writes + p2p:
+        piles = [len(pile) for pile in port._pending_by_kind]
+        if len(port.pending) != sum(piles):
             out.append((
                 "port.backlog", "port",
-                f"{len(port.pending)} pending != {reads} reads + "
-                f"{writes} writes + {p2p} p2p",
+                f"{len(port.pending)} pending != {piles[0]} reads + "
+                f"{piles[1]} writes + {piles[2]} p2p",
             ))
-        for total, parts in (
-            ("generated", (port.generated_reads, port.generated_writes,
-                           port.generated_p2p)),
-            ("completed", (port.completed_reads, port.completed_writes,
-                           port.completed_p2p)),
-            ("failed", (port.failed_reads, port.failed_writes,
-                        port.failed_p2p)),
-            ("timeouts", (port.timeout_reads, port.timeout_writes,
-                          port.timeout_p2p)),
-            ("retries", (port.retried_reads, port.retried_writes,
-                         port.retried_p2p)),
-            ("timed_out", (port.timed_out_reads, port.timed_out_writes,
-                           port.timed_out_p2p)),
-            ("shed", (port.shed_reads, port.shed_writes, port.shed_p2p)),
-        ):
-            whole = getattr(port, total)
-            if whole != sum(parts):
-                out.append((
-                    "port.backlog", "port",
-                    f"{total} {whole} != reads {parts[0]} + writes "
-                    f"{parts[1]} + p2p {parts[2]}",
-                ))
-        if port.directory.outstanding_writes != port.outstanding_writes:
+        if port.directory.outstanding_writes != outstanding[KIND_WRITE]:
             out.append((
                 "port.directory", "port",
                 f"directory holds {port.directory.outstanding_writes} "
-                f"writes, port holds {port.outstanding_writes}",
+                f"writes, port holds {outstanding[KIND_WRITE]}",
             ))
         retired = port.completed + port.failed + port.timed_out + port.shed
         if retired > port.generated or port.generated > port.total_requests:
@@ -440,21 +405,16 @@ class InvariantAuditor:
                     f"+ {port.timed_out} timed out + {port.shed} shed "
                     f"!= {port.generated} generated",
                 ))
-            for invariant, kind, gen, done, failed, lost in (
-                ("txn.conservation", "reads", port.generated_reads,
-                 port.completed_reads, port.failed_reads,
-                 port.timed_out_reads + port.shed_reads),
-                ("txn.conservation", "writes", port.generated_writes,
-                 port.completed_writes, port.failed_writes,
-                 port.timed_out_writes + port.shed_writes),
-                ("p2p.conservation", "p2p copies", port.generated_p2p,
-                 port.completed_p2p, port.failed_p2p,
-                 port.timed_out_p2p + port.shed_p2p),
-            ):
+            for kind, label in enumerate(_KIND_LABELS):
+                gen = port.generated_by_kind[kind]
+                done = port.completed_by_kind[kind]
+                failed = port.failed_by_kind[kind]
+                lost = port.timed_out_by_kind[kind] + port.shed_by_kind[kind]
                 if gen != done + failed + lost:
                     out.append((
-                        invariant, "port",
-                        f"{kind}: generated {gen} != completed {done} "
+                        "p2p.conservation" if kind == KIND_P2P
+                        else "txn.conservation", "port",
+                        f"{label}: generated {gen} != completed {done} "
                         f"+ failed {failed} + timed-out/shed {lost}",
                     ))
 
@@ -471,21 +431,16 @@ class InvariantAuditor:
         overload = port.config.overload
         if not port._overload:
             return
-        for kind, gen, settled in (
-            ("reads", port.generated_reads,
-             port.completed_reads + port.failed_reads
-             + port.timed_out_reads + port.shed_reads),
-            ("writes", port.generated_writes,
-             port.completed_writes + port.failed_writes
-             + port.timed_out_writes + port.shed_writes),
-            ("p2p copies", port.generated_p2p,
-             port.completed_p2p + port.failed_p2p
-             + port.timed_out_p2p + port.shed_p2p),
-        ):
+        for kind, label in enumerate(_KIND_LABELS):
+            gen = port.generated_by_kind[kind]
+            settled = (
+                port.completed_by_kind[kind] + port.failed_by_kind[kind]
+                + port.timed_out_by_kind[kind] + port.shed_by_kind[kind]
+            )
             if settled > gen:
                 out.append((
                     "overload.conservation", "port",
-                    f"{kind}: {settled} dispositions exceed {gen} generated",
+                    f"{label}: {settled} dispositions exceed {gen} generated",
                 ))
         if port.retries > port.timeouts:
             out.append((
@@ -666,8 +621,8 @@ class InvariantAuditor:
                 f"{residual.stat.max})",
             ))
         if self.system.config.obs.attribution_narrowed:
-            # Sampled or label-masked segments cover only part of the
-            # population the component totals below are taken over; the
+            # Sampled segments cover only part of the population the
+            # component totals below are taken over; the
             # zero-residual check above is the whole completeness check.
             return
         phase_totals = {phase: 0.0 for phase in PHASES}

@@ -286,10 +286,6 @@ class ObsConfig:
     Sampled-in transactions record *exact* segments — sampling shrinks
     the histogram population, it never estimates durations — and the
     simulated schedule is bit-identical to an attribution-off run.
-    ``attribution_labels`` restricts recording to labels under the
-    given taxonomy prefixes (e.g. ``("mem.xfer",)`` keeps only the p2p
-    data leg); masked-out spans are still counted toward coverage so
-    the ``unattributed`` residual keeps meaning "instrumentation gap".
     ``trace_sample = N`` rings every Nth event only, while the
     whole-run aggregates (link busy/bits, queue peaks, replay and
     overload counters) remain exact counts.
@@ -297,7 +293,6 @@ class ObsConfig:
 
     attribution: bool = False
     attribution_sample: int = 1
-    attribution_labels: Optional[Tuple[str, ...]] = None
     trace: bool = False
     trace_ring: int = 1 << 16
     trace_sample: int = 1
@@ -312,10 +307,8 @@ class ObsConfig:
 
     @property
     def attribution_narrowed(self) -> bool:
-        """Attribution covers a sample of transactions or a label subset."""
-        return self.attribution and (
-            self.attribution_sample > 1 or self.attribution_labels is not None
-        )
+        """Attribution covers a sample of transactions, not all of them."""
+        return self.attribution and self.attribution_sample > 1
 
     def validate(self) -> None:
         if self.trace_ring < 1:
@@ -324,24 +317,6 @@ class ObsConfig:
             raise ConfigError("attribution_sample must be at least 1")
         if self.trace_sample < 1:
             raise ConfigError("trace_sample must be at least 1")
-        if self.attribution_labels is not None:
-            if not self.attribution_labels or not all(
-                isinstance(p, str) and p for p in self.attribution_labels
-            ):
-                raise ConfigError(
-                    "attribution_labels must be a non-empty tuple of "
-                    "label prefixes (e.g. ('mem.xfer', 'resp'))"
-                )
-            for prefix in self.attribution_labels:
-                # Prefixes match at dot boundaries, so a trailing dot can
-                # never match anything ("mem." + "." is not a prefix of
-                # "mem.queue").  Reject it rather than silently record
-                # nothing.
-                if prefix.endswith("."):
-                    raise ConfigError(
-                        f"attribution_labels prefix {prefix!r} must not end "
-                        "with '.' (write 'mem', not 'mem.')"
-                    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.analysis import SpeedupGrid, render_table
-from repro.config import SystemConfig, parse_label
+from repro.config import SystemConfig
 from repro.experiments.base import (
     DEFAULT_REQUESTS,
     ExperimentOutput,

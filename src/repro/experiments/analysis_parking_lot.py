@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.parking_lot import (
-    cube_queue_waits,
     mean_transit_wait_ns,
     render_parking_lot_report,
 )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.errors import ConfigError
 

@@ -18,6 +18,7 @@ made "when injecting to the network":
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import Callable, Deque, Iterator, List, Optional, Sequence
 
 from repro.config import SystemConfig
@@ -25,11 +26,18 @@ from repro.errors import WorkloadError
 from repro.host.address_map import AddressMap, Location
 from repro.host.directory import Directory
 from repro.net.buffers import InputQueue
-from repro.net.packet import Packet, Transaction
+from repro.net.packet import (
+    KIND_NAMES,
+    KIND_P2P,
+    KIND_READ,
+    KIND_WRITE,
+    Packet,
+    Transaction,
+)
 from repro.net.pool import PacketPool
 from repro.net.routing import RouteClass, RouteTable
 from repro.net.router import Router
-from repro.obs.attribution import MaskedSegments, SegmentMask, segment_code
+from repro.obs.attribution import segment_code
 from repro.sim.engine import Engine
 from repro.sim.random import derive_seed
 from repro.workloads.base import Request
@@ -43,17 +51,17 @@ _SEG_RESP_PORT = segment_code("resp.port")
 # collapses to host.timeout.<kind>, and the backoff + re-queue wait
 # [timeout, next claim] becomes host.retry.<kind>, so a retried request's
 # segments still tile its end-to-end latency exactly (zero residual).
-_KINDS = ("read", "write", "p2p")
-_SEG_TIMEOUT = {kind: segment_code(f"host.timeout.{kind}") for kind in _KINDS}
-_SEG_RETRY = {kind: segment_code(f"host.retry.{kind}") for kind in _KINDS}
+# Both are indexed by ``Transaction.kind``.
+_SEG_TIMEOUT = tuple(segment_code(f"host.timeout.{k}") for k in KIND_NAMES)
+_SEG_RETRY = tuple(segment_code(f"host.retry.{k}") for k in KIND_NAMES)
 
 
-def _kind_of(txn: Transaction) -> str:
-    if txn.is_write:
-        return "write"
-    if txn.is_p2p:
-        return "p2p"
-    return "read"
+def _total(table: str) -> property:
+    """A read-only sum over one of the port's per-kind tables."""
+    get = attrgetter(table)
+    return property(
+        lambda self: sum(get(self)), doc=f"Sum of ``{table}`` over all kinds."
+    )
 
 
 class HostPort:
@@ -97,16 +105,27 @@ class HostPort:
 
         self.directory = Directory()
         self.pending: List[Transaction] = []  # generated, not yet injected
-        # the same backlog split by kind, for room-gated selection scans
-        self._pending_reads: List[Transaction] = []
-        self._pending_writes: List[Transaction] = []
-        self._pending_p2p: List[Transaction] = []
-        self.outstanding_reads = 0
-        self.outstanding_writes = 0
-        # Peer-to-peer copies run on the DMA engine's queue, sized like
-        # the store buffer: copies leave the core's critical path once
-        # issued, so they must not consume read MLP.
-        self.outstanding_p2p = 0
+        # The per-kind ledger, every table indexed by ``Transaction.kind``
+        # (read, write, p2p).  These are the only stored counts; the
+        # totals (``generated``, ``completed``, ...) are sums over them.
+        # Each generated request ends in exactly one of completed /
+        # failed (RAS) / timed_out (deadline, retries spent) / shed
+        # (admission refused); see _retire.  At end of run
+        # generated == completed + failed + timed_out + shed per kind.
+        self.generated_by_kind = [0, 0, 0]
+        self.completed_by_kind = [0, 0, 0]
+        self.failed_by_kind = [0, 0, 0]
+        self.timed_out_by_kind = [0, 0, 0]
+        self.shed_by_kind = [0, 0, 0]
+        # overload events per attempt: deadline expiries and re-issues
+        self.timeouts_by_kind = [0, 0, 0]
+        self.retries_by_kind = [0, 0, 0]
+        # Window slots held.  Peer-to-peer copies run on the DMA engine's
+        # queue, sized like the store buffer: copies leave the core's
+        # critical path once issued, so they must not consume read MLP.
+        self.outstanding_by_kind = [0, 0, 0]
+        # the pending backlog split by kind, for room-gated selection scans
+        self._pending_by_kind: List[List[Transaction]] = [[], [], []]
         # Destination-cube selection for p2p copies (config.p2p_pattern).
         # ``cube_techs`` aligns with ``cube_node_ids``; the "promote"
         # pattern moves lines to the opposite technology tier.
@@ -118,30 +137,15 @@ class HostPort:
         # in-order read retirement (wavefront semantics)
         self._read_seq = 0
         self._retire_head = 0
-        self._completed_reads = set()
+        self._returned_read_seqs = set()
         self.issued = 0
-        self.completed = 0
-        self.generated = 0
-        # Maintained eagerly (see _update_done): the engine's stop
-        # predicate reads this once per event, so it must be a plain
-        # attribute, not a property recomputing the sum.
+        # Refreshed by _retire: the system's completion hook reads this
+        # flag right after every retirement, so it is a plain attribute,
+        # not a property recomputing the sums.
         self.done = total_requests <= 0
-        # per-kind conservation counters (repro.check): at end of run
-        # generated_k == completed_k + failed_k must hold for each kind
-        self.generated_reads = 0
-        self.generated_writes = 0
-        self.generated_p2p = 0
-        self.completed_reads = 0
-        self.completed_writes = 0
-        self.completed_p2p = 0
-        self.failed_reads = 0
-        self.failed_writes = 0
-        self.failed_p2p = 0
-        # RAS: requests failed as host-level errors (dest cube became
-        # unreachable after a permanent failure) and responses that beat
-        # the failure across the cut after their transaction was already
-        # errored (conservatively ignored; see docs/ras.md).
-        self.failed = 0
+        # RAS: responses that beat a permanent failure across the cut
+        # after their transaction was already errored (conservatively
+        # ignored; see docs/ras.md).
         self.late_responses = 0
         self._degraded = False
         # Only runs with scheduled permanent failures pay for tracking
@@ -162,9 +166,6 @@ class HostPort:
             self._attr_phase = derive_seed(
                 config.seed, "obs.attribution", str(port_id)
             ) % self._attr_sample
-        self._attr_mask = None
-        if config.obs.attribution_labels is not None:
-            self._attr_mask = SegmentMask(config.obs.attribution_labels)
         self.attribution_sampled = 0  # exact count of sampled-in txns
         # write-burst hysteresis state (Section 5.3)
         self._recent_writes: Deque[bool] = deque(maxlen=config.hysteresis_window)
@@ -186,25 +187,6 @@ class HostPort:
         self._shedding = False  # hysteresis state: admission closed
         self._overload = open_loop or overload.enabled
         self.tracer = None  # set by the system when tracing is on
-        # event counters: deadline expiries and re-issues (per attempt)
-        self.timeouts = 0
-        self.timeout_reads = 0
-        self.timeout_writes = 0
-        self.timeout_p2p = 0
-        self.retries = 0
-        self.retried_reads = 0
-        self.retried_writes = 0
-        self.retried_p2p = 0
-        # disposition counters: each generated request ends in exactly
-        # one of completed / failed / timed_out / shed
-        self.timed_out = 0
-        self.timed_out_reads = 0
-        self.timed_out_writes = 0
-        self.timed_out_p2p = 0
-        self.shed = 0
-        self.shed_reads = 0
-        self.shed_writes = 0
-        self.shed_p2p = 0
         # responses of deadline-cancelled attempts, dropped on arrival
         self.stale_responses = 0
         # high-water mark of pending + outstanding (the shed bound)
@@ -218,13 +200,14 @@ class HostPort:
         engine.schedule(0, self._next_arrival)
 
     def _next_arrival(self, engine: Engine) -> None:
-        if self.generated >= self.total_requests:
+        generated = sum(self.generated_by_kind)
+        if generated >= self.total_requests:
             return
         try:
             request = next(self.workload)
         except StopIteration:
             raise WorkloadError(
-                f"workload exhausted after {self.generated} of "
+                f"workload exhausted after {generated} of "
                 f"{self.total_requests} requests"
             ) from None
         txn = Transaction(
@@ -236,46 +219,43 @@ class HostPort:
         )
         if self._attribution and (
             self._attr_sample == 1
-            or self.generated % self._attr_sample == self._attr_phase
+            or generated % self._attr_sample == self._attr_phase
         ):
-            txn.segments = (
-                [] if self._attr_mask is None
-                else MaskedSegments(self._attr_mask)
-            )
+            txn.segments = []
             self.attribution_sampled += 1
         txn.location = self.address_map.decode(request.address)
         txn.dest_cube = self.cube_node_ids[txn.location.cube_index]
-        if request.is_write:
-            self.generated_writes += 1
-        elif request.is_p2p:
+        if txn.kind == KIND_P2P:
             self._assign_p2p_dest(txn)
-            self.generated_p2p += 1
-        else:
-            self.generated_reads += 1
-        self.generated += 1
+        self.generated_by_kind[txn.kind] += 1
         self._observe_for_hysteresis(request.is_write)
         if self._overload and not self._admit():
             # Admission is closed (hysteresis above shed_high): the
             # request is counted as shed, never enqueued.  This is what
             # bounds the backlog and turns collapse into a plateau.
-            self._shed_txn(engine, txn)
+            if self.tracer is not None:
+                self.tracer.host_shed(engine.now, txn.tid)
+            self._retire(engine, txn, self.shed_by_kind)
         else:
-            self.pending.append(txn)
-            if request.is_write:
-                self._pending_writes.append(txn)
-            elif request.is_p2p:
-                self._pending_p2p.append(txn)
-            else:
-                self._pending_reads.append(txn)
-            if self._deadline_ps:
-                engine.schedule(self._deadline_ps, self._deadline_expired, txn)
-            self.try_inject(engine)
+            self._enqueue(engine, txn)
+        if generated + 1 < self.total_requests:
+            engine.schedule(max(request.gap_ps, 0), self._next_arrival)
+
+    def _enqueue(self, engine: Engine, txn: Transaction) -> None:
+        """Queue an admitted arrival or retry for injection."""
+        self.pending.append(txn)
+        self._pending_by_kind[txn.kind].append(txn)
+        if self._deadline_ps:
+            engine.schedule(self._deadline_ps, self._deadline_expired, txn)
+        self.try_inject(engine)
         if self._overload:
-            backlog = len(self.pending) + self.outstanding
+            backlog = len(self.pending) + sum(self.outstanding_by_kind)
             if backlog > self.peak_backlog:
                 self.peak_backlog = backlog
-        if self.generated < self.total_requests:
-            engine.schedule(max(request.gap_ps, 0), self._next_arrival)
+
+    def _remove_pending(self, txn: Transaction) -> None:
+        self.pending.remove(txn)
+        self._pending_by_kind[txn.kind].remove(txn)
 
     # -- p2p destination selection ------------------------------------------
     def _assign_p2p_dest(self, txn: Transaction) -> None:
@@ -346,61 +326,40 @@ class HostPort:
     ) -> Optional[Transaction]:
         """Pick the next pending transaction to inject.
 
-        The backlog is kept split by kind (``_pending_reads`` /
-        ``_pending_writes`` / ``_pending_p2p``, all in generation order)
-        so that when one window is full — the common case is a full read
-        window over a read-heavy backlog — the scan skips the other
-        kinds' piles wholesale instead of filtering them element by
-        element.  Selection is unchanged: first eligible read (when
-        read-priority injection is on), else the first eligible
-        transaction in generation order; p2p copies count as
-        non-priority traffic, like writes.
+        The backlog is also kept split by kind (``_pending_by_kind``,
+        each pile in generation order) so that when only one kind has
+        room — the common case is a full read window over a read-heavy
+        backlog — the scan skips the other kinds' piles wholesale
+        instead of filtering them element by element.  Selection is the
+        same either way: first eligible read (when read-priority
+        injection is on), else the first eligible transaction in
+        generation order; p2p copies count as non-priority traffic,
+        like writes.
         """
         can_issue = self.directory.can_issue
-        if not self._pending_p2p:
-            # two-kind fast paths (p2p-free backlog, the common case)
+        piles = self._pending_by_kind
+        if not piles[KIND_P2P]:
+            # p2p-free backlog (the common case) with one window full
             if not read_room:
-                for txn in self._pending_writes:
+                for txn in piles[KIND_WRITE]:
                     if can_issue(txn.address, True):
                         return txn
                 return None
             if not write_room:
-                for txn in self._pending_reads:
+                for txn in piles[KIND_READ]:
                     if can_issue(txn.address, False):
                         return txn
                 return None
-            read_priority = self.config.host.read_priority_injection
-            first_eligible = None
-            for txn in self.pending:
-                is_write = txn.is_write
-                if not can_issue(txn.address, is_write):
-                    continue
-                if read_priority:
-                    if not is_write:
-                        return txn  # first eligible read bypasses writes
-                    if first_eligible is None:
-                        first_eligible = txn
-                else:
-                    return txn
-            return first_eligible
         # general scan: every kind gated by its own window.  A p2p copy
         # claims the directory as a *read* of its source address.
+        room = (read_room, write_room, p2p_room)
         read_priority = self.config.host.read_priority_injection
         first_eligible = None
         for txn in self.pending:
-            if txn.is_write:
-                if not write_room or not can_issue(txn.address, True):
-                    continue
-            elif txn.is_p2p:
-                if not p2p_room or not can_issue(txn.address, False):
-                    continue
-            else:
-                if not read_room or not can_issue(txn.address, False):
-                    continue
-                if read_priority:
-                    return txn  # first eligible read bypasses the rest
-            if not read_priority:
-                return txn
+            if not room[txn.kind] or not can_issue(txn.address, txn.is_write):
+                continue
+            if not read_priority or txn.kind == KIND_READ:
+                return txn  # under read priority, reads bypass the rest
             if first_eligible is None:
                 first_eligible = txn
         return first_eligible
@@ -408,23 +367,24 @@ class HostPort:
     def try_inject(self, engine: Engine) -> None:
         host = self.config.host
         open_loop = self.open_loop
+        outstanding = self.outstanding_by_kind
         while self.pending:
             if open_loop:
                 # Open-loop arrivals model an external population, not a
                 # finite-MLP core: the window never gates injection and
                 # only network backpressure (and the directory) throttles.
                 read_room = write_room = True
-                p2p_room = bool(self._pending_p2p)
+                p2p_room = bool(self._pending_by_kind[KIND_P2P])
             else:
                 # Reads use the MLP window; writes use the store buffer.
                 # Writes leave the core's critical path once issued
                 # (Section 4.2), so they must not consume read MLP: this
                 # lets the skip-list push writes onto longer paths
                 # without stalling reads.
-                read_room = self.outstanding_reads < self.window
-                write_room = self.outstanding_writes < host.store_buffer_entries
-                if self._pending_p2p:
-                    p2p_room = self.outstanding_p2p < host.store_buffer_entries
+                read_room = outstanding[KIND_READ] < self.window
+                write_room = outstanding[KIND_WRITE] < host.store_buffer_entries
+                if self._pending_by_kind[KIND_P2P]:
+                    p2p_room = outstanding[KIND_P2P] < host.store_buffer_entries
                     if not read_room and not write_room and not p2p_room:
                         return  # no window slot of any kind is free
                 else:
@@ -434,15 +394,9 @@ class HostPort:
             txn = self._select_next(read_room, write_room, p2p_room)
             if txn is None:
                 return  # everything pending is blocked or out of room
-            self.pending.remove(txn)
-            if txn.is_write:
-                self._pending_writes.remove(txn)
-            elif txn.is_p2p:
-                self._pending_p2p.remove(txn)
-            else:
-                self._pending_reads.remove(txn)
+            self._remove_pending(txn)
             if self._degraded and not self._reachable(txn):
-                self._fail_unissued(engine, txn)
+                self._retire(engine, txn, self.failed_by_kind)
                 continue
             # claim_ps is this attempt's grant; start_ps stays pinned at
             # the *first* grant so total_ps spans retries.
@@ -453,12 +407,11 @@ class HostPort:
             if seg is not None:
                 if txn.retry_mark is not None:
                     # backoff + re-queue wait of a retried request
-                    seg.append((_SEG_RETRY[_kind_of(txn)], txn.retry_mark,
+                    seg.append((_SEG_RETRY[txn.kind], txn.retry_mark,
                                 engine.now))
                     txn.retry_mark = None
                 txn.seg_mark = len(seg)
-                txn.seg_suppressed = getattr(seg, "suppressed_ps", 0)
-            if not txn.is_write and not txn.is_p2p:
+            if txn.kind == KIND_READ:
                 txn.read_seq = self._read_seq
                 self._read_seq += 1
             # The request crosses the on-chip path from the coherence
@@ -466,12 +419,7 @@ class HostPort:
             # window slot and directory entry are claimed now, so
             # ordering decisions happen at the coherence point.
             self.directory.issued(txn.address, txn.is_write)
-            if txn.is_write:
-                self.outstanding_writes += 1
-            elif txn.is_p2p:
-                self.outstanding_p2p += 1
-            else:
-                self.outstanding_reads += 1
+            outstanding[txn.kind] += 1
             if self._track_outstanding:
                 self._outstanding_txns.add(txn)
             engine.schedule(self.config.host.port_latency_ps, self._reach_port, txn)
@@ -495,10 +443,7 @@ class HostPort:
             seg.append((_SEG_REQ_PORT, txn.claim_ps, reached_port))
             if engine.now > reached_port:
                 seg.append((_SEG_REQ_INJECT, reached_port, engine.now))
-        if txn.is_p2p:
-            packet = self.pool.p2p_request_packet(self.config.packet, txn, engine.now)
-        else:
-            packet = self.pool.request_packet(self.config.packet, txn, engine.now)
+        packet = self.pool.request_packet(self.config.packet, txn, engine.now)
         packet.src = self.route_table.host_id
         packet.dest = txn.dest_cube
         route_class = self._route_class_for(txn)
@@ -550,16 +495,7 @@ class HostPort:
         if txn is None:
             raise WorkloadError("response packet without a transaction")
         if txn.failed:
-            if txn.timed_out:
-                # Response of a deadline-cancelled attempt: the request
-                # was already retried or abandoned, so the data is stale.
-                self.stale_responses += 1
-            else:
-                # The response crossed the cut just before the failure
-                # hit; the transaction was already errored (its
-                # slot/directory state is long released), so the late
-                # data is dropped.
-                self.late_responses += 1
+            self._drop_response(txn)
             self.pool.release(packet)
             return
         txn.response_hops = packet.hops_traversed
@@ -573,45 +509,64 @@ class HostPort:
         # the response still has to cross the chip back to the core
         engine.schedule(self.config.host.port_latency_ps, self._complete, txn)
 
+    def _drop_response(self, txn: Transaction) -> None:
+        """Count the response of an already-failed transaction."""
+        if txn.timed_out:
+            # Response of a deadline-cancelled attempt: the request was
+            # already retried or abandoned, so the data is stale.
+            self.stale_responses += 1
+        else:
+            # The response crossed the cut just before the failure hit;
+            # the transaction was already errored (its slot/directory
+            # state is long released), so the late data is dropped.
+            self.late_responses += 1
+
     def _complete(self, engine: Engine, txn: Transaction) -> None:
         if txn.failed:
-            if txn.timed_out:
-                self.stale_responses += 1
-            else:
-                self.late_responses += 1
+            self._drop_response(txn)
             return
-        txn.complete_ps = engine.now
         if txn.segments is not None:
             seg_start = engine.now - self.config.host.port_latency_ps
             txn.segments.append((_SEG_RESP_PORT, seg_start, engine.now))
         self._release_claims(txn)
-        self.completed += 1
-        if txn.is_write:
-            self.completed_writes += 1
-        elif txn.is_p2p:
-            self.completed_p2p += 1
-        else:
-            self.completed_reads += 1
-        self._update_done()
-        self.on_transaction_done(engine, txn)
+        self._retire(engine, txn, self.completed_by_kind)
         self.try_inject(engine)
+
+    def _retire(self, engine: Engine, txn: Transaction, table: List[int]) -> None:
+        """The one terminal path of a logical request.
+
+        ``table`` is the disposition the request ends in: one of
+        ``completed_by_kind``, ``failed_by_kind`` (RAS),
+        ``timed_out_by_kind`` (deadline, retries spent) or
+        ``shed_by_kind`` (admission refused).  Every generated request
+        passes here exactly once; anything but completion marks the
+        transaction failed, so it is never a latency sample.
+        """
+        txn.complete_ps = engine.now  # the host learns the outcome now
+        if table is not self.completed_by_kind:
+            txn.failed = True
+            if table is self.timed_out_by_kind:
+                txn.timed_out = True
+        table[txn.kind] += 1
+        self.done = (
+            sum(self.completed_by_kind) + sum(self.failed_by_kind)
+            + sum(self.timed_out_by_kind) + sum(self.shed_by_kind)
+            >= self.total_requests
+        )
+        self.on_transaction_done(engine, txn)
 
     def _release_claims(self, txn: Transaction) -> None:
         """Free the directory entry and window/store-buffer slot."""
         self.directory.completed(txn.address, txn.is_write)
-        if txn.is_write:
-            self.outstanding_writes -= 1
-        elif txn.is_p2p:
-            self.outstanding_p2p -= 1
-        elif self.config.host.inorder_retire:
+        if txn.kind == KIND_READ and self.config.host.inorder_retire:
             # the slot frees only when all older reads are also back
-            self._completed_reads.add(txn.read_seq)
-            while self._retire_head in self._completed_reads:
-                self._completed_reads.discard(self._retire_head)
+            self._returned_read_seqs.add(txn.read_seq)
+            while self._retire_head in self._returned_read_seqs:
+                self._returned_read_seqs.discard(self._retire_head)
                 self._retire_head += 1
-                self.outstanding_reads -= 1
+                self.outstanding_by_kind[KIND_READ] -= 1
         else:
-            self.outstanding_reads -= 1
+            self.outstanding_by_kind[txn.kind] -= 1
         if self._track_outstanding:
             self._outstanding_txns.discard(txn)
 
@@ -627,7 +582,7 @@ class HostPort:
         """
         if not self._shed_high:
             return True
-        backlog = len(self.pending) + self.outstanding
+        backlog = len(self.pending) + sum(self.outstanding_by_kind)
         if self._shedding:
             if backlog <= self._shed_low:
                 self._shedding = False
@@ -637,22 +592,6 @@ class HostPort:
             self._shedding = True
             return False
         return True
-
-    def _shed_txn(self, engine: Engine, txn: Transaction) -> None:
-        """Refuse admission: the request terminates as shed, unserved."""
-        txn.failed = True  # terminal marker: never a latency sample
-        txn.complete_ps = engine.now
-        self.shed += 1
-        if txn.is_write:
-            self.shed_writes += 1
-        elif txn.is_p2p:
-            self.shed_p2p += 1
-        else:
-            self.shed_reads += 1
-        if self.tracer is not None:
-            self.tracer.host_shed(engine.now, txn.tid)
-        self._update_done()
-        self.on_transaction_done(engine, txn)
 
     def _deadline_expired(self, engine: Engine, txn: Transaction) -> None:
         """The end-to-end deadline of one attempt fired.
@@ -667,19 +606,12 @@ class HostPort:
         """
         if txn.complete_ps is not None or txn.failed or txn.landing:
             return
-        kind = _kind_of(txn)
-        self.timeouts += 1
-        if txn.is_write:
-            self.timeout_writes += 1
-        elif txn.is_p2p:
-            self.timeout_p2p += 1
-        else:
-            self.timeout_reads += 1
+        self.timeouts_by_kind[txn.kind] += 1
         if self.tracer is not None:
             self.tracer.host_timeout(engine.now, txn.tid, txn.retries)
         if txn.claim_ps is None:
             self._remove_pending(txn)
-            self._abandon(engine, txn)
+            self._retire(engine, txn, self.timed_out_by_kind)
             return
         # Cancel the attempt in service.  The transaction object stays
         # marked failed+timed_out so every stale path — _pump skip,
@@ -689,11 +621,7 @@ class HostPort:
         seg = txn.segments
         if seg is not None:
             del seg[txn.seg_mark:]
-            if type(seg) is not list:
-                # roll the masked list's dropped-span tally back to the
-                # claim too: the truncated spans no longer count
-                seg.suppressed_ps = txn.seg_suppressed
-            seg.append((_SEG_TIMEOUT[kind], txn.claim_ps, engine.now))
+            seg.append((_SEG_TIMEOUT[txn.kind], txn.claim_ps, engine.now))
         self._release_claims(txn)
         txn.failed = True
         txn.timed_out = True
@@ -702,32 +630,8 @@ class HostPort:
             backoff = self._retry_backoff_ps << txn.retries
             engine.schedule(backoff, self._reissue, clone)
         else:
-            self._abandon(engine, txn)
+            self._retire(engine, txn, self.timed_out_by_kind)
         self.try_inject(engine)
-
-    def _remove_pending(self, txn: Transaction) -> None:
-        self.pending.remove(txn)
-        if txn.is_write:
-            self._pending_writes.remove(txn)
-        elif txn.is_p2p:
-            self._pending_p2p.remove(txn)
-        else:
-            self._pending_reads.remove(txn)
-
-    def _abandon(self, engine: Engine, txn: Transaction) -> None:
-        """Terminal timed-out disposition for one logical request."""
-        txn.failed = True
-        txn.timed_out = True
-        txn.complete_ps = engine.now
-        self.timed_out += 1
-        if txn.is_write:
-            self.timed_out_writes += 1
-        elif txn.is_p2p:
-            self.timed_out_p2p += 1
-        else:
-            self.timed_out_reads += 1
-        self._update_done()
-        self.on_transaction_done(engine, txn)
 
     def _clone_for_retry(self, engine: Engine, txn: Transaction) -> Transaction:
         """A fresh attempt object carrying the logical request's history.
@@ -767,50 +671,14 @@ class HostPort:
         if clone.failed:
             return  # errored while backing off (topology change)
         if self._overload and not self._admit():
-            self._abandon(engine, clone)
+            self._retire(engine, clone, self.timed_out_by_kind)
             return
-        self.retries += 1
-        if clone.is_write:
-            self.retried_writes += 1
-        elif clone.is_p2p:
-            self.retried_p2p += 1
-        else:
-            self.retried_reads += 1
+        self.retries_by_kind[clone.kind] += 1
         if self.tracer is not None:
             self.tracer.host_retry(engine.now, clone.tid, clone.retries)
-        self.pending.append(clone)
-        if clone.is_write:
-            self._pending_writes.append(clone)
-        elif clone.is_p2p:
-            self._pending_p2p.append(clone)
-        else:
-            self._pending_reads.append(clone)
-        if self._deadline_ps:
-            engine.schedule(self._deadline_ps, self._deadline_expired, clone)
-        self.try_inject(engine)
-        if self._overload:
-            backlog = len(self.pending) + self.outstanding
-            if backlog > self.peak_backlog:
-                self.peak_backlog = backlog
+        self._enqueue(engine, clone)
 
     # -- RAS degradation ---------------------------------------------------------
-    def _fail_common(self, engine: Engine, txn: Transaction) -> None:
-        txn.failed = True
-        txn.complete_ps = engine.now  # the host learns of the error now
-        self.failed += 1
-        if txn.is_write:
-            self.failed_writes += 1
-        elif txn.is_p2p:
-            self.failed_p2p += 1
-        else:
-            self.failed_reads += 1
-        self._update_done()
-        self.on_transaction_done(engine, txn)
-
-    def _fail_unissued(self, engine: Engine, txn: Transaction) -> None:
-        """Error a transaction that never claimed a slot (still pending)."""
-        self._fail_common(engine, txn)
-
     def fail_issued(self, engine: Engine, txn: Transaction) -> None:
         """Error a claimed transaction (at the port or in the network).
 
@@ -820,7 +688,7 @@ class HostPort:
         if txn.failed or txn.complete_ps is not None:
             return
         self._release_claims(txn)
-        self._fail_common(engine, txn)
+        self._retire(engine, txn, self.failed_by_kind)
 
     def adopt_route_table(self, engine: Engine, route_table: RouteTable) -> None:
         """A permanent failure rebuilt the routes: adopt the degraded
@@ -850,13 +718,10 @@ class HostPort:
             if self._reachable(txn):
                 still_pending.append(txn)
             else:
-                self._fail_unissued(engine, txn)
+                self._retire(engine, txn, self.failed_by_kind)
         self.pending = still_pending
-        self._pending_reads = [
-            t for t in still_pending if not t.is_write and not t.is_p2p
-        ]
-        self._pending_writes = [t for t in still_pending if t.is_write]
-        self._pending_p2p = [t for t in still_pending if t.is_p2p]
+        for kind, pile in enumerate(self._pending_by_kind):
+            pile[:] = [t for t in still_pending if t.kind == kind]
         for txn in list(self._outstanding_txns):
             if not self._reachable(txn):
                 self.fail_issued(engine, txn)
@@ -865,18 +730,11 @@ class HostPort:
         self._pump(engine)
         self.try_inject(engine)
 
-    @property
-    def outstanding(self) -> int:
-        return self.outstanding_reads + self.outstanding_writes + self.outstanding_p2p
-
-    def _update_done(self) -> None:
-        """Refresh the cached termination flag after a completion/error.
-
-        Every generated request ends in exactly one disposition:
-        completed, failed (RAS), timed out (deadline, retries spent), or
-        shed (admission refused).
-        """
-        self.done = (
-            self.completed + self.failed + self.timed_out + self.shed
-            >= self.total_requests
-        )
+    generated = _total("generated_by_kind")
+    completed = _total("completed_by_kind")
+    failed = _total("failed_by_kind")
+    timed_out = _total("timed_out_by_kind")
+    shed = _total("shed_by_kind")
+    timeouts = _total("timeouts_by_kind")
+    retries = _total("retries_by_kind")
+    outstanding = _total("outstanding_by_kind")

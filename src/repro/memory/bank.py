@@ -102,11 +102,6 @@ class Bank:
         )
         self._open_rows.clear()
 
-    # kept for compatibility with older call sites/tests
-    @property
-    def busy_until(self) -> int:
-        return max(self.array_busy_until, self.buffer_busy_until)
-
 
 def refreshed_windows(
     array_busy_until: int, buffer_busy_until: int, now_ps: int, duration_ps: int

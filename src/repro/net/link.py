@@ -54,9 +54,6 @@ class SharedChannel:
         self._waiting: List["Link"] = []
         self._idle_armed = False
 
-    def is_free(self, now_ps: int) -> bool:
-        return now_ps >= self._busy_until
-
     def wake_when_idle(self, engine: Engine, half: "Link") -> None:
         """A sender with a blocked head packet asks to be re-granted.
 
@@ -219,19 +216,10 @@ class Link:
             self._ser_cache[packet.size_bits] = ser
         return ser
 
-    def is_free(self, now_ps: int) -> bool:
-        return self.channel.is_free(now_ps)
-
-    def has_credit(self) -> bool:
-        return self._credits is None or self._credits > 0
-
-    def can_send(self, now_ps: int) -> bool:
-        return not self.dead and self.is_free(now_ps) and self.has_credit()
-
     def fail(self) -> None:
         """Permanently kill this direction (RAS).  In-flight packets
         still deliver — the retry buffer drains — but nothing new is
-        accepted: ``can_send`` is False forever after."""
+        accepted: a dead link never takes another send."""
         self.dead = True
 
     @property
@@ -268,7 +256,7 @@ class Link:
                 retry_ps = replays * (ser + faults.retry_penalty_ps)
                 occupy_ps += retry_ps
         # Channel occupation (the busy guard must stay: send() is
-        # only reachable after can_send, but RAS quiesce re-kicks can
+        # only reachable on a free channel, but RAS quiesce re-kicks can
         # race a same-instant re-occupation).
         now = engine.now
         channel = self.channel

@@ -19,8 +19,6 @@ import enum
 import itertools
 from typing import List, Optional, Tuple
 
-from repro.config import PacketConfig
-
 
 class PacketKind(enum.IntEnum):
     READ_REQ = 0
@@ -185,6 +183,11 @@ class Packet:
         )
 
 
+#: ``Transaction.kind`` values, and the kinds' names in that order.
+KIND_READ, KIND_WRITE, KIND_P2P = 0, 1, 2
+KIND_NAMES = ("read", "write", "p2p")
+
+
 class Transaction:
     """One memory transaction: a request packet and its response.
 
@@ -199,6 +202,7 @@ class Transaction:
         "address",
         "is_write",
         "is_p2p",
+        "kind",
         "port_id",
         "dest_cube",
         "location",
@@ -220,7 +224,6 @@ class Transaction:
         "segments",
         "claim_ps",
         "seg_mark",
-        "seg_suppressed",
         "landing",
         "retries",
         "timed_out",
@@ -244,6 +247,8 @@ class Transaction:
         # the line to ``p2p_dest_cube``.  ``is_write`` stays False — the
         # directory treats the copy as a read of the source address.
         self.is_p2p = is_p2p
+        # Index into the host port's per-kind tables (KIND_NAMES).
+        self.kind = KIND_WRITE if is_write else KIND_P2P if is_p2p else KIND_READ
         self.port_id = port_id
         self.dest_cube: Optional[int] = None
         self.location = None  # decoded (cube, quadrant, bank, row)
@@ -282,9 +287,6 @@ class Transaction:
         # RAS-failed ones on the response path.
         self.claim_ps: Optional[int] = None
         self.seg_mark = 0
-        # suppressed_ps of a label-masked segment list at the claim,
-        # restored with the seg_mark truncation on deadline cancel
-        self.seg_suppressed = 0
         self.landing = False
         self.retries = 0
         self.timed_out = False
@@ -320,36 +322,3 @@ class Transaction:
         """Core-side wait before the window grant (not in the breakdown)."""
         return self._t0 - self.issue_ps
 
-
-def request_packet(
-    config: PacketConfig, txn: Transaction, now_ps: int
-) -> Packet:
-    """Build the request packet for a transaction."""
-    kind = PacketKind.WRITE_REQ if txn.is_write else PacketKind.READ_REQ
-    size = config.data_bits if kind.carries_data else config.control_bits
-    pkt = Packet(
-        kind=kind,
-        address=txn.address,
-        src=-1,  # host; concrete node ids are assigned by the system
-        dest=txn.dest_cube if txn.dest_cube is not None else -1,
-        size_bits=size,
-        create_ps=now_ps,
-        transaction=txn,
-    )
-    return pkt
-
-
-def response_packet(config: PacketConfig, request: Packet, now_ps: int) -> Packet:
-    """Build the response for a delivered request (read data / write ack)."""
-    kind = request.kind.response_kind()
-    size = config.data_bits if kind.carries_data else config.control_bits
-    pkt = Packet(
-        kind=kind,
-        address=request.address,
-        src=request.dest,
-        dest=request.src,
-        size_bits=size,
-        create_ps=now_ps,
-        transaction=request.transaction,
-    )
-    return pkt

@@ -36,6 +36,8 @@ from repro.errors import SimulationError
 from repro.net.packet import Packet, PacketKind, Transaction
 
 _NUM_KINDS = len(PacketKind)
+#: The request packet kind of each ``Transaction.kind`` (read, write, p2p).
+_REQUEST_KINDS = (PacketKind.READ_REQ, PacketKind.WRITE_REQ, PacketKind.P2P_REQ)
 
 
 class PacketPool:
@@ -89,13 +91,14 @@ class PacketPool:
     def request_packet(
         self, config: PacketConfig, txn: Transaction, now_ps: int
     ) -> Packet:
-        """Pooled equivalent of :func:`repro.net.packet.request_packet`."""
-        kind = PacketKind.WRITE_REQ if txn.is_write else PacketKind.READ_REQ
+        """The host's request for a transaction: a read request, a write,
+        or a p2p copy's "read and forward" command to the source cube."""
+        kind = _REQUEST_KINDS[txn.kind]
         size = config.data_bits if kind.carries_data else config.control_bits
         return self.acquire(
             kind,
             txn.address,
-            -1,
+            -1,  # host
             txn.dest_cube if txn.dest_cube is not None else -1,
             size,
             now_ps,
@@ -105,7 +108,7 @@ class PacketPool:
     def response_packet(
         self, config: PacketConfig, request: Packet, now_ps: int
     ) -> Packet:
-        """Pooled equivalent of :func:`repro.net.packet.response_packet`."""
+        """The response (read data or write ack) for a delivered request."""
         kind = request.kind.response_kind()
         size = config.data_bits if kind.carries_data else config.control_bits
         return self.acquire(
@@ -119,20 +122,6 @@ class PacketPool:
         )
 
     # -- peer-to-peer relay legs -------------------------------------------
-    def p2p_request_packet(
-        self, config: PacketConfig, txn: Transaction, now_ps: int
-    ) -> Packet:
-        """The host's "read and forward" command to the source cube."""
-        return self.acquire(
-            PacketKind.P2P_REQ,
-            txn.address,
-            -1,  # host
-            txn.dest_cube if txn.dest_cube is not None else -1,
-            config.control_bits,
-            now_ps,
-            txn,
-        )
-
     def p2p_xfer_packet(
         self, config: PacketConfig, request: Packet, now_ps: int
     ) -> Packet:

@@ -132,67 +132,6 @@ def sum_by_label(
     return out
 
 
-# ---------------------------------------------------------------------------
-# Per-label enable masks (config.obs.attribution_labels).
-#
-# A mask keeps only the segments whose label falls under one of the
-# configured taxonomy prefixes ("mem.xfer" enables "mem.xfer.queue.*",
-# "mem.xfer.wire.*", ...).  Filtering happens at append time in the
-# transaction's segment list itself, so every producer (queues, links,
-# controllers, ports) goes through one filter, and masked-out spans are still *counted* (``suppressed_ps``): the
-# collector subtracts them from the residual, which keeps the
-# ``unattributed`` pseudo-segment a pure instrumentation-gap signal
-# instead of "everything the mask dropped".
-# ---------------------------------------------------------------------------
-class SegmentMask:
-    """Compiled label filter: prefix match, memoized per interned code."""
-
-    __slots__ = ("prefixes", "_decisions")
-
-    def __init__(self, prefixes: Iterable[str]) -> None:
-        self.prefixes = tuple(prefixes)
-        # key -> bool, keyed by whatever producers append (interned int
-        # codes on hot paths, raw strings on cold ones)
-        self._decisions: Dict[object, bool] = {}
-
-    def _match(self, label: str) -> bool:
-        for prefix in self.prefixes:
-            if label == prefix or label.startswith(prefix + "."):
-                return True
-        return False
-
-    def allows(self, key: object) -> bool:
-        decision = self._decisions.get(key)
-        if decision is None:
-            label = segment_label(key) if type(key) is int else str(key)
-            decision = self._decisions[key] = self._match(label)
-        return decision
-
-
-class MaskedSegments(list):
-    """A transaction segment list that records only enabled labels.
-
-    Drop-in for the plain ``list`` the port attaches when attribution
-    is unmasked: every producer appends ``(label, start_ps, end_ps)``
-    and list semantics (``len``, ``del seg[mark:]``) keep working.
-    Masked-out appends accumulate their duration in ``suppressed_ps``
-    so coverage accounting stays exact.
-    """
-
-    __slots__ = ("mask", "suppressed_ps")
-
-    def __init__(self, mask: SegmentMask) -> None:
-        super().__init__()
-        self.mask = mask
-        self.suppressed_ps = 0
-
-    def append(self, segment: Tuple[object, int, int]) -> None:
-        if self.mask.allows(segment[0]):
-            list.append(self, segment)
-        else:
-            self.suppressed_ps += segment[2] - segment[1]
-
-
 def phase_of(label: str) -> Optional[str]:
     """The ``req``/``mem``/``resp`` phase a segment label belongs to.
 

@@ -163,10 +163,6 @@ class TransactionCollector:
             if hist is None:
                 hist = segments[label] = make_segment_histogram()
             hist.add(duration_ps)
-        # Label-masked lists (repro.obs.attribution.MaskedSegments)
-        # count the spans they dropped, so the residual below stays a
-        # pure instrumentation-gap signal under masking too.
-        covered += getattr(txn.segments, "suppressed_ps", 0)
         residual = txn.total_ps - covered
         hist = segments.get(UNATTRIBUTED)
         if hist is None:

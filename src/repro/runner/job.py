@@ -42,9 +42,7 @@ JOB_DIGEST_VERSION = "repro-job-v3"
 _DIGEST_TRANSPARENT = {
     "SystemConfig": frozenset({"overload"}),
     "WorkloadSpec": frozenset({"arrival", "on_fraction", "on_burst", "skew"}),
-    "ObsConfig": frozenset(
-        {"attribution_sample", "attribution_labels", "trace_sample"}
-    ),
+    "ObsConfig": frozenset({"attribution_sample", "trace_sample"}),
 }
 
 

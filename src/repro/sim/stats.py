@@ -305,8 +305,8 @@ class TailAccumulator:
 class CounterBag:
     """Named integer counters with exact, order-invariant merging.
 
-    The streaming-aggregation counterpart of :class:`StatsRegistry`'s
-    counter half: integer addition commutes exactly, so a bag folded in
+    The streaming-aggregation counterpart of :class:`StatsRegistry`:
+    integer addition commutes exactly, so a bag folded in
     any completion order holds identical values.  Non-integral amounts
     are rejected rather than silently truncated — fleet per-kind
     conservation (shard sums == fleet totals) only holds over exact
@@ -343,43 +343,10 @@ class CounterBag:
 
 
 class StatsRegistry:
-    """Named collection of counters and RunningStats for one simulation."""
+    """Named event counters for one simulation (the RAS fault layer)."""
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
-        self.stats: Dict[str, RunningStat] = {}
 
     def count(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
-
-    def record(self, name: str, value: float) -> None:
-        stat = self.stats.get(name)
-        if stat is None:
-            stat = RunningStat()
-            self.stats[name] = stat
-        stat.add(value)
-
-    def counter(self, name: str) -> int:
-        return self.counters.get(name, 0)
-
-    def mean(self, name: str) -> float:
-        stat = self.stats.get(name)
-        return stat.mean if stat else 0.0
-
-    def names(self) -> List[str]:
-        return sorted(set(self.counters) | set(self.stats))
-
-    def as_dict(self) -> Dict[str, float]:
-        out: Dict[str, float] = dict(self.counters)
-        for name, stat in self.stats.items():
-            for key, value in (
-                (f"{name}.mean", stat.mean),
-                (f"{name}.count", stat.count),
-            ):
-                if key in self.counters:
-                    raise ValueError(
-                        f"stats registry key collision: stat {name!r} emits "
-                        f"{key!r}, which is already a counter name"
-                    )
-                out[key] = value
-        return out

@@ -25,7 +25,7 @@ from repro.host import AddressMap, HostNode, HostPort
 from repro.memory import MemoryCube
 from repro.net.buffers import InputQueue
 from repro.net.link import Link, SharedChannel
-from repro.net.packet import Packet, PacketKind, Transaction
+from repro.net.packet import KIND_P2P, Packet, PacketKind, Transaction
 from repro.net.pool import PacketPool
 from repro.net.router import LinkOutput, Router
 from repro.net.routing import RouteClass, RouteTable, cached_bfs_paths
@@ -632,11 +632,11 @@ class MemoryNetworkSystem:
             external_bits, interposer_bits, accesses
         )
         extra: Dict[str, float] = {}
-        if self.port.generated_p2p:
-            extra["p2p.generated"] = float(self.port.generated_p2p)
-            extra["p2p.completed"] = float(self.port.completed_p2p)
-            extra["p2p.failed"] = float(self.port.failed_p2p)
         port = self.port
+        if port.generated_by_kind[KIND_P2P]:
+            extra["p2p.generated"] = float(port.generated_by_kind[KIND_P2P])
+            extra["p2p.completed"] = float(port.completed_by_kind[KIND_P2P])
+            extra["p2p.failed"] = float(port.failed_by_kind[KIND_P2P])
         if port._overload:
             # Overload accounting (open-loop arrivals and/or deadlines/
             # shedding).  Keyed only when the feature is active so
@@ -651,9 +651,9 @@ class MemoryNetworkSystem:
             extra["overload.peak_backlog"] = float(port.peak_backlog)
         obs = self.config.obs
         if obs.attribution_narrowed:
-            # Sampled/masked attribution accounting.  Keyed only when
-            # the narrowing features are active so full-attribution and
-            # attribution-off result digests are untouched.
+            # Sampled attribution accounting.  Keyed only when sampling
+            # is active so full-attribution and attribution-off result
+            # digests are untouched.
             extra["obs.attribution_sample"] = float(obs.attribution_sample)
             extra["obs.attribution_sampled"] = float(port.attribution_sampled)
         if self._ras is not None:

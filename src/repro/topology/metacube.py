@@ -18,7 +18,7 @@ Packaging rules used here (documented in DESIGN.md):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.config import NVM_FIRST, NVM_LAST
 from repro.errors import TopologyError

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import TopologyError
-from repro.net.routing import RouteClass
 from repro.topology.base import (
     ALL_CLASSES,
     HOST_ID,

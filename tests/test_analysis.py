@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import SpeedupGrid, breakdown_rows, format_percent, render_table
-from repro.config import SystemConfig
 
 from conftest import fast_workload, small_config
 

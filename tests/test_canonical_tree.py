@@ -114,7 +114,6 @@ obs_configs = st.builds(
     ObsConfig,
     attribution=st.booleans(),
     attribution_sample=_maybe(1, st.integers(1, 8)),
-    attribution_labels=_maybe(None, st.tuples(st.sampled_from(["req", "mem"]))),
     trace_sample=_maybe(1, st.integers(1, 8)),
 )
 

@@ -20,8 +20,11 @@ from repro.check import (
     audits_enabled,
     set_audits,
 )
+from repro.config import P2P_PROMOTE
+from repro.net.packet import KIND_READ, KIND_WRITE, Transaction
 from repro.serialization import result_digest
 from repro.system import MemoryNetworkSystem
+from repro.units import ns
 
 from conftest import (
     fast_workload,
@@ -296,3 +299,66 @@ class TestInjectedDefects:
 
     def _steal_one(self, system):
         self._credited_link(system)._credits -= 1
+
+
+def _read_count_lost(port):
+    port.completed_by_kind[KIND_READ] -= 1
+
+
+def _write_slot_leaked(port):
+    port.outstanding_by_kind[KIND_WRITE] += 1
+
+
+def _retry_without_timeout(port):
+    port.retries_by_kind[KIND_READ] += port.timeouts - port.retries + 1
+
+
+def _pile_entry_missing(port):
+    # a pending transaction that its kind's pile does not hold
+    port.pending.append(Transaction(0x40, False, port.port_id, 0))
+
+
+def _read_window_overrun(port):
+    port.outstanding_by_kind[KIND_READ] = port.window + 1
+
+
+class TestPortLedgerDefects:
+    """Each host-port invariant catches a corrupted ledger table.
+
+    A finished, audited closed-loop run exercises every table: all three
+    kinds complete, time out, retry and shed.  Each case corrupts one
+    table afterwards and the final audit must name the invariant.
+    """
+
+    @staticmethod
+    def _finished_port():
+        config = small_config(
+            topology="chain", dram_fraction=0.5, p2p_pattern=P2P_PROMOTE
+        ).with_overload(
+            deadline_ps=ns(200), max_retries=2, retry_backoff_ps=ns(50),
+            shed_high=64, shed_low=32,
+        )
+        workload = fast_workload(p2p_fraction=0.2, mlp=8)
+        system, _ = run_system(config, workload, requests=150, audit=True)
+        return system
+
+    @pytest.mark.parametrize("corrupt, invariant", [
+        pytest.param(_read_count_lost, "txn.conservation", id="read-count"),
+        pytest.param(_write_slot_leaked, "port.directory", id="write-slot"),
+        pytest.param(
+            _retry_without_timeout, "overload.conservation", id="retries"
+        ),
+        pytest.param(_pile_entry_missing, "port.backlog", id="pile-entry"),
+        pytest.param(_read_window_overrun, "port.window", id="read-window"),
+    ])
+    def test_corrupted_table_caught(self, corrupt, invariant):
+        system = self._finished_port()
+        port = system.port
+        assert not port.open_loop  # the window bounds are checked
+        for table in (port.generated_by_kind, port.timeouts_by_kind,
+                      port.retries_by_kind, port.shed_by_kind):
+            assert all(table), table
+        assert system.auditor.collect("final") == []
+        corrupt(port)
+        names = {v[0] for v in system.auditor.collect("final")}
+        assert invariant in names

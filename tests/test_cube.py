@@ -1,12 +1,9 @@
 """Tests for the memory cube assembly (router + quadrant controllers)."""
 
-import pytest
-
 from repro.arbitration import ArbiterContext, RoundRobinArbiter
 from repro.config import CubeConfig, PacketConfig, dram_tech, nvm_tech
 from repro.host.address_map import Location
 from repro.memory.cube import LOCAL_INPUTS, MemoryCube
-from repro.net.buffers import InputQueue
 from repro.net.packet import Packet, PacketKind, Transaction
 from repro.net.router import Router
 from repro.sim.engine import Engine

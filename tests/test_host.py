@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.config import HostConfig, SystemConfig
+from repro.config import HostConfig
 from repro.host.directory import Directory
+from repro.net.packet import KIND_READ, KIND_WRITE, Transaction
 from repro.system import MemoryNetworkSystem
-from repro.units import GIB_BYTES
-from repro.workloads import Request, WorkloadSpec
+from repro.workloads import Request
 
 from conftest import fast_workload, small_config
 
@@ -94,7 +94,7 @@ class TestHostPort:
 
         def spy(engine):
             original(engine)
-            max_seen.append(system.port.outstanding_reads)
+            max_seen.append(system.port.outstanding_by_kind[KIND_READ])
 
         system.port.try_inject = spy
         system.run()
@@ -111,7 +111,7 @@ class TestHostPort:
 
         def spy(engine):
             original(engine)
-            max_seen.append(system.port.outstanding_writes)
+            max_seen.append(system.port.outstanding_by_kind[KIND_WRITE])
 
         system.port.try_inject = spy
         system.run()
@@ -164,3 +164,41 @@ class TestHostPort:
         breakdown = result.collector.all
         assert breakdown.to_memory.min >= config.host.port_latency_ps
         assert result.collector.all.total_ns * 1000 >= floor
+
+
+class TestInjectionOrder:
+    """``HostPort._select_next`` over a hand-built backlog."""
+
+    def _port(self, read_priority, backlog, blocked_lines=()):
+        host = HostConfig(read_priority_injection=read_priority)
+        system = MemoryNetworkSystem(
+            small_config(host=host), fast_workload(), requests=1
+        )
+        port = system.port
+        for line in blocked_lines:  # an older write to the line is live
+            port.directory.issued(line * 64, True)
+        txns = [
+            Transaction(line * 64, kind == "w", 0, 0, is_p2p=kind == "p")
+            for kind, line in backlog
+        ]
+        for txn in txns:
+            port.pending.append(txn)
+            port._pending_by_kind[txn.kind].append(txn)
+        return port, txns
+
+    def test_read_priority_bypasses_writes_and_copies(self):
+        port, txns = self._port(True, [("w", 0), ("p", 1), ("r", 2)])
+        assert port._select_next(True, True, True) is txns[2]
+
+    def test_generation_order_without_read_priority(self):
+        port, txns = self._port(False, [("w", 0), ("p", 1), ("r", 2)])
+        assert port._select_next(True, True, True) is txns[0]
+
+    def test_stalled_read_yields_to_first_eligible(self):
+        port, txns = self._port(True, [("w", 0), ("r", 3)], blocked_lines=[3])
+        assert port._select_next(True, True, False) is txns[0]
+
+    def test_full_windows_skip_their_kinds(self):
+        port, txns = self._port(True, [("r", 0), ("w", 1), ("p", 2)])
+        assert port._select_next(False, False, True) is txns[2]
+        assert port._select_next(False, True, False) is txns[1]

@@ -1,8 +1,6 @@
 """Tests for in-order read retirement (wavefront semantics)."""
 
-import pytest
-
-from repro.config import HostConfig, SystemConfig
+from repro.config import HostConfig
 from repro.system import MemoryNetworkSystem, simulate
 from repro.workloads import Request
 
@@ -27,7 +25,7 @@ class TestInorderRetire:
         system, _ = run_with_requests(config, reqs)
         assert system.port._read_seq == 6
         assert system.port._retire_head == 6
-        assert not system.port._completed_reads
+        assert not system.port._returned_read_seqs
 
     def test_writes_do_not_consume_read_seqs(self):
         config = small_config()

@@ -4,9 +4,8 @@ import pytest
 
 from repro.config import NVM_FIRST, NVM_LAST
 from repro.errors import TopologyError
-from repro.net.routing import RouteClass, bfs_paths
 from repro.topology import build_metacube
-from repro.topology.base import HOST_ID, LinkKind, NodeKind
+from repro.topology.base import LinkKind, NodeKind
 from repro.topology.metacube import package_order_techs, plan_packages
 from repro.topology.placement import position_distances
 

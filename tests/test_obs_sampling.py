@@ -1,12 +1,10 @@
-"""Sampled and masked observability (repro.obs narrowing features).
+"""Sampled observability (repro.obs narrowing features).
 
 Attribution sampling records exact segments for a deterministic 1-in-N
-subset of transactions; label masks restrict recording to taxonomy
-prefixes while still *counting* the spans they drop.  Trace sampling
-rings every Nth event while the whole-run aggregates stay exact.  None
-of the three may perturb the simulated schedule: a sampled/masked run
-must be bit-identical to an observability-off run once the (smaller)
-observability payload itself is set aside.
+subset of transactions.  Trace sampling rings every Nth event while the
+whole-run aggregates stay exact.  Neither may perturb the simulated
+schedule: a sampled run must be bit-identical to an observability-off
+run once the (smaller) observability payload itself is set aside.
 """
 
 from __future__ import annotations
@@ -19,11 +17,6 @@ import pytest
 from repro.check import InvariantViolation
 from repro.config import ConfigError, ObsConfig, SystemConfig
 from repro.obs import TraceRecorder, UNATTRIBUTED
-from repro.obs.attribution import (
-    MaskedSegments,
-    SegmentMask,
-    segment_code,
-)
 from repro.serialization import result_to_state
 from repro.system import MemoryNetworkSystem
 
@@ -33,7 +26,7 @@ from conftest import fast_workload, run_system, small_config
 def _digest_without_obs(result) -> str:
     """Result digest with the observability payload stripped.
 
-    Sampling and masking legitimately shrink ``collector.segments`` and
+    Sampling legitimately shrinks ``collector.segments`` and
     add ``obs.*`` accounting keys to ``extra``; everything else —
     runtime, latencies, energy, event counts — must stay bit-identical
     to an observability-off run.
@@ -58,11 +51,7 @@ class TestConfig:
         [
             dict(attribution_sample=0),
             dict(trace_sample=0),
-            dict(attribution_labels=()),
-            dict(attribution_labels=("mem", "")),
-            # Trailing dot can never match at a dot boundary; silently
-            # recording nothing would be a footgun.
-            dict(attribution_labels=("mem.",)),
+            dict(trace_ring=0),
         ],
     )
     def test_invalid_values_rejected(self, bad):
@@ -81,51 +70,12 @@ class TestConfig:
 
         base = job().digest()
         assert job(attribution_sample=8).digest() != base
-        assert job(attribution_labels=("mem",)).digest() != base
         assert job(trace_sample=4).digest() != base
         # Explicit defaults are digest-transparent: cached pre-feature
         # results stay addressable.
         assert (
-            job(
-                attribution_sample=1, attribution_labels=None, trace_sample=1
-            ).digest()
-            == base
+            job(attribution_sample=1, trace_sample=1).digest() == base
         )
-
-
-# ---------------------------------------------------------------------------
-# SegmentMask / MaskedSegments units
-# ---------------------------------------------------------------------------
-class TestMaskUnits:
-    def test_prefix_semantics(self):
-        mask = SegmentMask(("mem.xfer", "resp"))
-        assert mask.allows("mem.xfer")
-        assert mask.allows("mem.xfer.queue.n3")
-        assert mask.allows("resp.wire.4->5")
-        assert not mask.allows("mem.xfernot")
-        assert not mask.allows("mem.array.c0")
-        assert not mask.allows("req.port")
-
-    def test_interned_codes_match_their_labels(self):
-        mask = SegmentMask(("req",))
-        code_in = segment_code("req.port")
-        code_out = segment_code("resp.port")
-        assert mask.allows(code_in)
-        assert not mask.allows(code_out)
-        # memoized decisions stay stable
-        assert mask.allows(code_in) and not mask.allows(code_out)
-
-    def test_masked_segments_counts_suppressed(self):
-        seg = MaskedSegments(SegmentMask(("mem",)))
-        seg.append(("mem.array.c0", 100, 160))
-        seg.append(("req.port", 0, 25))
-        seg.append(("resp.port", 500, 575))
-        assert list(seg) == [("mem.array.c0", 100, 160)]
-        assert seg.suppressed_ps == 25 + 75
-        # list semantics used by the overload cancel path keep working
-        seg.append(("mem.queue.c0", 160, 170))
-        del seg[1:]
-        assert list(seg) == [("mem.array.c0", 100, 160)]
 
 
 # ---------------------------------------------------------------------------
@@ -176,77 +126,17 @@ class TestAttributionSampling:
 
 
 # ---------------------------------------------------------------------------
-# Label masks: tiling and suppressed accounting
-# ---------------------------------------------------------------------------
-class TestLabelMasks:
-    def test_masked_run_records_only_enabled_labels(self):
-        config = small_config().with_obs(
-            attribution=True, attribution_labels=("mem",)
-        )
-        _, result = run_system(config, requests=200)
-        labels = set(result.collector.segments)
-        assert labels, "mask must not drop everything"
-        for label in labels - {UNATTRIBUTED}:
-            assert label.startswith("mem."), label
-        # suppressed spans are counted, so the residual still means
-        # "instrumentation gap" and stays zero on a healthy run
-        residual = result.collector.segments[UNATTRIBUTED]
-        assert residual.stat.total == 0
-        assert residual.stat.max == 0
-
-    def test_masked_histograms_match_full_attribution(self):
-        full_cfg = small_config().with_obs(attribution=True)
-        masked_cfg = small_config().with_obs(
-            attribution=True, attribution_labels=("mem",)
-        )
-        _, full = run_system(full_cfg, requests=200)
-        _, masked = run_system(masked_cfg, requests=200)
-        mem_labels = {
-            label for label in full.collector.segments if label.startswith("mem.")
-        }
-        assert set(masked.collector.segments) == mem_labels | {UNATTRIBUTED}
-        for label in mem_labels:
-            kept = masked.collector.segments[label]
-            reference = full.collector.segments[label]
-            assert kept.count == reference.count, label
-            assert kept.stat.total == reference.stat.total, label
-        assert _digest_without_obs(masked) == _digest_without_obs(full)
-
-    def test_mask_composes_with_sampling(self):
-        config = small_config().with_obs(
-            attribution=True,
-            attribution_sample=4,
-            attribution_labels=("req", "resp"),
-        )
-        system, result = run_system(config, requests=200)
-        segments = result.collector.segments
-        sampled = system.port.attribution_sampled
-        assert segments["req.port"].count == sampled
-        assert segments[UNATTRIBUTED].stat.total == 0
-        for label in segments:
-            assert label == UNATTRIBUTED or label.split(".", 1)[0] in (
-                "req",
-                "resp",
-            )
-
-
-# ---------------------------------------------------------------------------
 # Audits over narrowed attribution
 # ---------------------------------------------------------------------------
 NARROWINGS = [
     pytest.param(dict(attribution_sample=8), id="sampled"),
-    pytest.param(dict(attribution_labels=("mem",)), id="masked"),
-    pytest.param(
-        dict(attribution_sample=4, attribution_labels=("req", "resp")),
-        id="sampled-masked",
-    ),
 ]
 
 
 class TestAuditedNarrowing:
     @pytest.mark.parametrize("narrowing", NARROWINGS)
     def test_narrowed_run_passes_result_audit(self, narrowing):
-        # Sampled or masked segments cover part of the population the
+        # Sampled segments cover part of the population the
         # latency components are taken over; only the residual applies.
         config = small_config().with_obs(attribution=True, **narrowing)
         system, _ = run_system(config, requests=200, audit=True)

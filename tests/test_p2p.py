@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import P2P_PROMOTE, VALID_P2P_PATTERNS
 from repro.errors import ConfigError, WorkloadError
-from repro.net.packet import Packet, PacketKind
+from repro.net.packet import KIND_P2P, Packet, PacketKind
 from repro.obs import UNATTRIBUTED, phase_of, three_way_ns
 from repro.serialization import result_digest, result_from_state, result_to_state
 
@@ -236,7 +236,7 @@ class TestP2pInvariants:
 
     def test_dropped_copy_counter_caught(self):
         system, _ = run_system(p2p_config(), p2p_workload(), requests=60, audit=True)
-        assert system.port.generated_p2p > 0
-        system.port.completed_p2p -= 1
+        assert system.port.generated_by_kind[KIND_P2P] > 0
+        system.port.completed_by_kind[KIND_P2P] -= 1
         names = {v[0] for v in system.auditor.collect("final")}
         assert "p2p.conservation" in names

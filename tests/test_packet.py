@@ -4,12 +4,15 @@ import pytest
 
 from repro.config import PacketConfig
 from repro.net.packet import (
+    KIND_NAMES,
+    KIND_P2P,
+    KIND_READ,
+    KIND_WRITE,
     Packet,
     PacketKind,
     Transaction,
-    request_packet,
-    response_packet,
 )
+from repro.net.pool import PacketPool
 
 
 class TestPacketKind:
@@ -61,6 +64,16 @@ class TestPacketRoute:
         assert a.pid != b.pid
 
 
+def test_transaction_kind_indexes_the_port_tables():
+    def kind(**flags):
+        return Transaction(0x40, port_id=0, issue_ps=0, **flags).kind
+
+    assert kind(is_write=False) == KIND_READ
+    assert kind(is_write=True) == KIND_WRITE
+    assert kind(is_write=False, is_p2p=True) == KIND_P2P
+    assert KIND_NAMES[KIND_P2P] == "p2p"
+
+
 class TestTransactionLatencies:
     def make_txn(self):
         txn = Transaction(address=0x40, is_write=False, port_id=0, issue_ps=100)
@@ -98,7 +111,7 @@ class TestPacketFactories:
         config = PacketConfig()
         txn = Transaction(0x80, is_write=False, port_id=0, issue_ps=0)
         txn.dest_cube = 5
-        packet = request_packet(config, txn, 0)
+        packet = PacketPool().request_packet(config, txn, 0)
         assert packet.kind == PacketKind.READ_REQ
         assert packet.size_bits == config.control_bits
 
@@ -106,17 +119,27 @@ class TestPacketFactories:
         config = PacketConfig()
         txn = Transaction(0x80, is_write=True, port_id=0, issue_ps=0)
         txn.dest_cube = 5
-        packet = request_packet(config, txn, 0)
+        packet = PacketPool().request_packet(config, txn, 0)
         assert packet.kind == PacketKind.WRITE_REQ
         assert packet.size_bits == config.data_bits
+
+    def test_p2p_copy_request_is_control_sized(self):
+        config = PacketConfig()
+        txn = Transaction(0x80, is_write=False, port_id=0, issue_ps=0,
+                          is_p2p=True)
+        txn.dest_cube = 5
+        packet = PacketPool().request_packet(config, txn, 0)
+        assert packet.kind == PacketKind.P2P_REQ
+        assert packet.size_bits == config.control_bits
+        assert packet.dest == 5
 
     def test_response_swaps_endpoints(self):
         config = PacketConfig()
         txn = Transaction(0x80, is_write=False, port_id=0, issue_ps=0)
         txn.dest_cube = 5
-        request = request_packet(config, txn, 0)
+        request = PacketPool().request_packet(config, txn, 0)
         request.src, request.dest = 0, 5
-        response = response_packet(config, request, 10)
+        response = PacketPool().response_packet(config, request, 10)
         assert response.kind == PacketKind.READ_RESP
         assert response.src == 5 and response.dest == 0
         assert response.size_bits == config.data_bits
@@ -126,7 +149,7 @@ class TestPacketFactories:
         config = PacketConfig()
         txn = Transaction(0x80, is_write=True, port_id=0, issue_ps=0)
         txn.dest_cube = 2
-        request = request_packet(config, txn, 0)
-        response = response_packet(config, request, 10)
+        request = PacketPool().request_packet(config, txn, 0)
+        response = PacketPool().response_packet(config, request, 10)
         assert response.kind == PacketKind.WRITE_ACK
         assert response.size_bits == config.control_bits

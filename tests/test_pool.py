@@ -6,13 +6,7 @@ import pytest
 
 from repro.config import PacketConfig
 from repro.errors import SimulationError
-from repro.net.packet import (
-    Packet,
-    PacketKind,
-    Transaction,
-    request_packet,
-    response_packet,
-)
+from repro.net.packet import Packet, PacketKind, Transaction
 from repro.net.pool import PacketPool
 
 
@@ -72,7 +66,9 @@ def test_double_release_raises():
 def test_request_matches_module_constructor():
     config = PacketConfig()
     txn = make_txn(is_write=True)
-    reference = request_packet(config, txn, 42)
+    reference = Packet(
+        PacketKind.WRITE_REQ, txn.address, -1, 3, config.data_bits, 42, txn
+    )
     pooled = PacketPool().request_packet(config, txn, 42)
     for field in ("kind", "address", "src", "dest", "size_bits",
                   "create_ps", "transaction"):
@@ -81,8 +77,11 @@ def test_request_matches_module_constructor():
 
 def test_response_matches_module_constructor():
     config = PacketConfig()
-    request = request_packet(config, make_txn(), 0)
-    reference = response_packet(config, request, 99)
+    request = PacketPool().request_packet(config, make_txn(), 0)
+    reference = Packet(
+        PacketKind.READ_RESP, request.address, request.dest, request.src,
+        config.data_bits, 99, request.transaction,
+    )
     pooled = PacketPool().response_packet(config, request, 99)
     for field in ("kind", "address", "src", "dest", "size_bits",
                   "create_ps", "transaction"):

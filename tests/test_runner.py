@@ -128,8 +128,8 @@ class TestDigestPins:
         )
 
     def test_overload_ras_obs_job(self):
-        # Non-default digest-transparent fields (overload, obs sampling
-        # and labels) enter the tree next to a full RAS fault plan.
+        # Non-default digest-transparent fields (overload, obs sampling)
+        # enter the tree next to a full RAS fault plan.
         config = SystemConfig(
             topology="tree",
             dram_fraction=0.5,
@@ -144,13 +144,12 @@ class TestDigestPins:
             obs=ObsConfig(
                 attribution=True,
                 attribution_sample=4,
-                attribution_labels=("mem.xfer", "resp"),
                 trace=True,
                 trace_sample=4,
             ),
         )
         assert SimJob(config, _pin_workload(), requests=500).digest() == (
-            "2356384bdc8cb2c30904340345c2a56c52534c84d0d5b25a712280de6e194384"
+            "07e81a986b251c4a68242f90e41c3613eb4f18d8f1d7e08fe2bf3dbbbd4b8a57"
         )
 
     def test_p2p_poisson_job(self):

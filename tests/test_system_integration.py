@@ -6,13 +6,13 @@ first-order behaviours at reduced scale.
 
 import pytest
 
-from repro.config import HostConfig, SystemConfig, parse_label
+from repro.config import HostConfig, parse_label
 from repro.errors import SimulationError
 from repro.memory.controller import QuadrantController
 from repro.net.routing import RouteClass
 from repro.serialization import result_digest
 from repro.system import MemoryNetworkSystem, simulate
-from repro.units import GIB_BYTES, TIB_BYTES
+from repro.units import TIB_BYTES
 
 from conftest import create_all_banks, fast_workload, small_config
 

@@ -6,12 +6,8 @@ simulator reproduces them exactly — catching any silent change to the
 timing model.
 """
 
-import pytest
-
-from repro.config import SystemConfig
-from repro.net.packet import Transaction
 from repro.system import MemoryNetworkSystem
-from repro.units import GIB_BYTES, serialization_ps
+from repro.units import serialization_ps
 from repro.workloads import Request
 
 from conftest import fast_workload, small_config

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.net.routing import RouteClass, bfs_paths
 from repro.topology import build_chain, build_ring, build_tree
 from repro.topology.base import HOST_ID, NodeKind, Topology
 from repro.topology.placement import position_distances

@@ -13,7 +13,6 @@ from repro.analysis.network_stats import (
     render_link_report,
     underutilized_links,
 )
-from repro.config import SystemConfig
 from repro.experiments.base import ExperimentOutput
 from repro.system import MemoryNetworkSystem
 from repro.topology import build_topology

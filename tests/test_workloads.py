@@ -7,9 +7,6 @@ from repro.units import GIB_BYTES
 from repro.workloads import (
     PAPER_SUITE,
     SyntheticWorkload,
-    Trace,
-    TraceWorkload,
-    WorkloadSpec,
     get_workload,
     workload_names,
 )
