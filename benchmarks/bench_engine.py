@@ -21,13 +21,15 @@ recycling counters and a timestamped ``trend`` list that accumulates
 one entry per benchmark run so regressions are visible across commits.
 Rates keep their ``heap_`` key prefix so new entries line up with the
 earlier ones in the trend.  The CI smoke step asserts a tolerant floor
-on the obs-off cell and a ceiling on the sampled-attribution overhead.
+on the obs-off cell and ceilings on the sampled-attribution and traced
+overheads.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine.py [--requests N]
         [--repeats N] [--output PATH] [--history N]
         [--min-events-per-s FLOOR] [--max-sampled-overhead FRACTION]
+        [--max-trace-overhead FRACTION]
 """
 
 from __future__ import annotations
@@ -109,6 +111,13 @@ def main(argv=None) -> int:
         default=None,
         help="fail (exit 1) if the 1-in-8 sampled attribution overhead "
         "exceeds this fraction (CI uses 0.10)",
+    )
+    parser.add_argument(
+        "--max-trace-overhead",
+        type=float,
+        default=None,
+        help="fail (exit 1) if the traced cell's overhead (attribution "
+        "plus full tracing) exceeds this fraction",
     )
     args = parser.parse_args(argv)
     if args.history < 1:
@@ -196,19 +205,20 @@ def main(argv=None) -> int:
             f"  perf gate        : obs-off {rate} >= "
             f"{args.min_events_per_s:g} events/s OK"
         )
-    if args.max_sampled_overhead is not None:
-        sampled = overhead("sampled")
-        if sampled is None or sampled > args.max_sampled_overhead:
+    for obs_label, ceiling, what in (
+        ("sampled", args.max_sampled_overhead, "sampled attribution"),
+        ("traced", args.max_trace_overhead, "traced"),
+    ):
+        if ceiling is None:
+            continue
+        value = overhead(obs_label)
+        if value is None or value > ceiling:
             print(
-                f"FAIL: sampled-attribution overhead {sampled} above the "
-                f"{args.max_sampled_overhead:g} ceiling",
+                f"FAIL: {what} overhead {value} above the {ceiling:g} ceiling",
                 file=sys.stderr,
             )
             return 1
-        print(
-            f"  obs gate         : sampled attribution overhead "
-            f"{sampled:.3f} <= {args.max_sampled_overhead:g} OK"
-        )
+        print(f"  obs gate         : {what} overhead {value:.3f} <= {ceiling:g} OK")
     return 0
 
 

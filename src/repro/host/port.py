@@ -22,7 +22,7 @@ from operator import attrgetter
 from typing import Callable, Deque, Iterator, List, Optional, Sequence
 
 from repro.config import SystemConfig
-from repro.errors import WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.host.address_map import AddressMap, Location
 from repro.host.directory import Directory
 from repro.net.buffers import InputQueue
@@ -41,6 +41,7 @@ from repro.obs.attribution import segment_code
 from repro.sim.engine import Engine
 from repro.sim.random import derive_seed
 from repro.workloads.base import Request
+from repro.workloads.synthetic import SyntheticWorkload
 
 # Interned attribution labels (repro.obs); the port's labels carry no
 # location detail, so they are interned once at import.
@@ -62,6 +63,19 @@ def _total(table: str) -> property:
     return property(
         lambda self: sum(get(self)), doc=f"Sum of ``{table}`` over all kinds."
     )
+
+
+def _checked_requests(requests: Iterator[Request]) -> Iterator[Request]:
+    """Pass a hand-built request stream through, rejecting requests the
+    port cannot serve: a p2p copy reads its source line, so it is never
+    also a write."""
+    for request in requests:
+        if request.is_write and request.is_p2p:
+            raise ConfigError(
+                f"request for address {request.address:#x} sets both "
+                "is_write and is_p2p; a p2p copy must have is_write=False"
+            )
+        yield request
 
 
 class HostPort:
@@ -86,7 +100,13 @@ class HostPort:
     ) -> None:
         self.port_id = port_id
         self.config = config
-        self.workload = workload
+        # The synthetic generator never sets both is_write and is_p2p;
+        # any other stream is checked request by request.
+        self.workload = (
+            workload
+            if type(workload) is SyntheticWorkload
+            else _checked_requests(workload)
+        )
         self.total_requests = total_requests
         self.address_map = address_map
         self.cube_node_ids = list(cube_node_ids)
@@ -139,9 +159,11 @@ class HostPort:
         self._retire_head = 0
         self._returned_read_seqs = set()
         self.issued = 0
-        # Refreshed by _retire: the system's completion hook reads this
-        # flag right after every retirement, so it is a plain attribute,
-        # not a property recomputing the sums.
+        # Refreshed by _retire: the system's completion hook reads the
+        # retired total (completed + failed + timed_out + shed) and this
+        # flag right after every retirement, so they are plain
+        # attributes, not properties recomputing the sums.
+        self.retired = 0
         self.done = total_requests <= 0
         # RAS: responses that beat a permanent failure across the cut
         # after their transaction was already errored (conservatively
@@ -548,11 +570,12 @@ class HostPort:
             if table is self.timed_out_by_kind:
                 txn.timed_out = True
         table[txn.kind] += 1
-        self.done = (
+        retired = (
             sum(self.completed_by_kind) + sum(self.failed_by_kind)
             + sum(self.timed_out_by_kind) + sum(self.shed_by_kind)
-            >= self.total_requests
         )
+        self.retired = retired
+        self.done = retired >= self.total_requests
         self.on_transaction_done(engine, txn)
 
     def _release_claims(self, txn: Transaction) -> None:

@@ -136,6 +136,7 @@ class Link:
         "packets_carried",
         "bits_carried",
         "busy_ps",
+        "replay_ps",
         "tracer",
         "faults",
         "replays",
@@ -186,6 +187,8 @@ class Link:
         self.packets_carried = 0
         self.bits_carried = 0
         self.busy_ps = 0
+        # the part of busy_ps spent replaying CRC-failed traversals (RAS)
+        self.replay_ps = 0
         # observability (repro.obs): set by the system when tracing is on
         self.tracer = None
         # RAS (repro.ras): all four stay at their defaults unless a fault
@@ -254,6 +257,7 @@ class Link:
             if replays:
                 self.replays += replays
                 retry_ps = replays * (ser + faults.retry_penalty_ps)
+                self.replay_ps += retry_ps
                 occupy_ps += retry_ps
         # Channel occupation (the busy guard must stay: send() is
         # only reachable on a free channel, but RAS quiesce re-kicks can

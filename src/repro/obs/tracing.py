@@ -1,21 +1,33 @@
 """Ring-buffered event tracing for one simulation run.
 
 A :class:`TraceRecorder` is attached by :class:`repro.system.
-MemoryNetworkSystem` when ``config.obs.trace`` is set.  Components emit
-compact event tuples into a bounded ring (old events are evicted, the
-run never grows unbounded) while a handful of whole-run aggregates —
-per-link busy time and bits, per-queue peak depth — are accumulated
-outside the ring so the dump's utilization summary covers the entire
-run even when the ring wrapped.
+MemoryNetworkSystem` when ``config.obs.trace`` is set.  Components call
+its hooks (:meth:`TraceRecorder.link_send`, :meth:`~TraceRecorder.
+queue_depth`, ...) from their hot paths; each hook is one Python frame
+that bumps the emission counter, tests the sample stride, and only for a
+kept event builds one tuple and appends it to a ``collections.deque``
+bounded at ``trace_ring`` (old events fall off the far end, so the run
+never grows unbounded).  How many events were stored, retained or
+evicted follows from the emission count, the stride and the deque's
+length; nothing else is counted per event.
 
-The ring is a preallocated slot array, and the tuples filed into it are
-integer-coded: event kinds are small ints (:data:`LINK` …) and packet
-kinds are stored as the raw :class:`~repro.net.packet.PacketKind`
-member, never as strings.  The emission hot path therefore does no
-string formatting or enum ``.name`` lookups; :meth:`TraceRecorder.
-events` and the dump writers decode codes back to the public string
-taxonomy (``"link"``, ``"queue"``, …) at export time, so external
-consumers see the same records as before.
+Ring tuples hold only plain values: event kinds are small ints
+(:data:`LINK` ...) and packet kinds are stored as their int value, never
+as the :class:`~repro.net.packet.PacketKind` member or a string.  A
+tuple of atomic values drops out of the garbage collector's tracking at
+the first collection it survives, so a full ring adds nothing to later
+passes.  :meth:`TraceRecorder.
+events` and the dump writers decode the codes to the public string
+taxonomy (``"link"``, ``"queue"``, ...) at export time.
+
+The whole-run link and queue aggregates the summary reports (per-link
+packets, bits, busy time and CRC replays, per-queue peak depth) are not
+counted by the hooks: the components already keep them
+(``Link.packets_carried``, ``bits_carried``, ``busy_ps`` less
+``replay_ps``, ``replays``; ``InputQueue.peak_occupancy``), and
+:meth:`TraceRecorder.summary` reads them from the links and queues the
+recorder was told to :meth:`~TraceRecorder.watch`.  They cover the
+entire run even when the ring wrapped or the stride sampled events out.
 
 Two dump formats:
 
@@ -34,8 +46,11 @@ the exporter divides by 1e6.
 from __future__ import annotations
 
 import json
+from collections import deque
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+
+from repro.net.packet import PacketKind
 
 # Event-kind codes (index 1 of every ring tuple) and their public
 # string taxonomy, decoded only at export.
@@ -54,6 +69,9 @@ KIND_LABELS = (
     "host_timeout", "host_retry", "host_shed",
 )
 
+#: Packet-kind names by int value (the ring stores the value).
+PACKET_KIND_NAMES = tuple(kind.name for kind in sorted(PacketKind))
+
 
 def _decode(event: tuple) -> tuple:
     """Ring tuple -> the public string-taxonomy tuple."""
@@ -62,19 +80,35 @@ def _decode(event: tuple) -> tuple:
         # stored: (ts, LINK, name, ser, arrival, pid, kind, bits)
         return (
             event[0], "link", event[2], event[3], event[4], event[5],
-            event[6].name, event[7],
+            PACKET_KIND_NAMES[event[6]], event[7],
         )
     if code == GRANT:
         # stored: (ts, GRANT, name, output_key, pid, kind, contenders)
         return (
             event[0], "grant", event[2], event[3], event[4],
-            event[5].name, event[6],
+            PACKET_KIND_NAMES[event[5]], event[6],
         )
     return (event[0], KIND_LABELS[code]) + event[2:]
 
 
 class TraceRecorder:
-    """Bounded event recorder plus whole-run link/queue aggregates."""
+    """Bounded event recorder over the watched links' and queues' totals."""
+
+    __slots__ = (
+        "capacity",
+        "sample",
+        "sample_phase",
+        "emitted",
+        "last_ts",
+        "_ring",
+        "_append",
+        "_links",
+        "_queues",
+        "failures",
+        "host_timeouts",
+        "host_retries",
+        "host_sheds",
+    )
 
     def __init__(
         self, capacity: int = 1 << 16, sample: int = 1, sample_phase: int = 0
@@ -84,127 +118,165 @@ class TraceRecorder:
         if sample < 1:
             raise ValueError("trace sample rate must be at least 1")
         self.capacity = capacity
-        # Deterministic 1-in-N ring sampling: every Nth emission (by
-        # global emission index, phase-shifted by ``sample_phase``,
-        # which the system derives from the config seed) is stored;
-        # the rest only bump the exact counters.  The whole-run
-        # aggregates below are updated by the emission hooks *before*
-        # the sampling decision, so they always cover every event.
+        # Deterministic 1-in-N ring sampling: the event with global
+        # emission index i is stored when i % sample == sample_phase
+        # (the system derives the phase from the config seed); the rest
+        # only bump the emission count.
         self.sample = sample
         self.sample_phase = sample_phase % sample
-        self.sampled_out = 0
-        self.stored = 0
-        # Preallocated ring: a fixed slot array plus a write cursor.
-        # Emission is one store + cursor bump, no allocator churn.
-        self._ring: List[Optional[tuple]] = [None] * capacity
-        self._pos = 0
         self.emitted = 0  # total events seen (sampled or not)
-        # Whole-run aggregates (never evicted).
-        self.link_busy_ps: Dict[str, int] = {}
-        self.link_bits: Dict[str, int] = {}
-        self.link_packets: Dict[str, int] = {}
-        self.queue_peak: Dict[str, int] = {}
-        # RAS aggregates (repro.ras): per-link CRC replay counts and the
-        # permanent failures the run suffered, never evicted.
-        self.link_replays: Dict[str, int] = {}
+        # Timestamp of the latest event.  Hooks fire in engine order, so
+        # the latest event is also the one with the largest timestamp.
+        self.last_ts = 0
+        self._ring: deque = deque(maxlen=capacity)
+        self._append: Callable[[tuple], None] = self._ring.append
+        # Components whose own counters the summary reads (see watch).
+        self._links: Tuple = ()
+        self._queues: Tuple = ()
+        # RAS: the permanent failures the run suffered, never evicted.
         self.failures: List[Tuple[int, int, int]] = []  # (ts, a, b)
         # Overload aggregates (host-edge deadlines/shedding), never
         # evicted even when the ring wraps.
         self.host_timeouts = 0
         self.host_retries = 0
         self.host_sheds = 0
-        self.last_ts = 0
+
+    def watch(self, links: Iterable, queues: Iterable) -> None:
+        """Read whole-run link and queue totals from these components.
+
+        ``links`` are :class:`~repro.net.link.Link` objects and
+        ``queues`` :class:`~repro.net.buffers.InputQueue` objects, wired
+        to this recorder before the run starts.
+        """
+        self._links = tuple(links)
+        self._queues = tuple(queues)
+
+    def close(self) -> None:
+        """Drop the retained events once the run's dumps are written.
+
+        The counts and the watched components' totals stay readable;
+        :meth:`events` is empty afterwards.
+        """
+        self._ring.clear()
 
     # -- emission hooks (called from component hot paths when tracing) ----
-    def _emit(self, event: tuple) -> None:
-        index = self.emitted
-        self.emitted = index + 1
-        ts = event[0]
-        if ts > self.last_ts:
-            self.last_ts = ts
-        if self.sample > 1 and index % self.sample != self.sample_phase:
-            self.sampled_out += 1
-            return
-        self.stored += 1
-        pos = self._pos
-        self._ring[pos] = event
-        pos += 1
-        self._pos = 0 if pos == self.capacity else pos
-
+    # Each hook is the event's only Python frame: count it, test the
+    # stride, and build the tuple only for an event the ring keeps.
     def link_send(
         self, name: str, now_ps: int, ser_ps: int, arrival_ps: int, packet
     ) -> None:
         """A packet started serializing onto a link."""
-        busy = self.link_busy_ps
-        busy[name] = busy.get(name, 0) + ser_ps
-        bits = self.link_bits
-        bits[name] = bits.get(name, 0) + packet.size_bits
-        pkts = self.link_packets
-        pkts[name] = pkts.get(name, 0) + 1
-        self._emit(
-            (now_ps, LINK, name, ser_ps, arrival_ps, packet.pid,
-             packet.kind, packet.size_bits)
-        )
+        index = self.emitted
+        self.emitted = index + 1
+        self.last_ts = now_ps
+        if index % self.sample == self.sample_phase:
+            self._append((
+                now_ps, LINK, name, ser_ps, arrival_ps, packet.pid,
+                packet.kind._value_, packet.size_bits,
+            ))
 
     def queue_depth(self, name: str, now_ps: Optional[int], depth: int) -> None:
         """An input queue's occupancy changed (push or pop)."""
-        peak = self.queue_peak
-        if depth > peak.get(name, 0):
-            peak[name] = depth
-        self._emit((now_ps or 0, QUEUE, name, depth))
+        index = self.emitted
+        self.emitted = index + 1
+        ts = now_ps or 0
+        self.last_ts = ts
+        if index % self.sample == self.sample_phase:
+            self._append((ts, QUEUE, name, depth))
 
     def router_grant(
         self, name: str, now_ps: int, output_key: int, packet, contenders: int
     ) -> None:
         """A router arbiter granted an output to an input head."""
-        self._emit(
-            (now_ps, GRANT, name, output_key, packet.pid, packet.kind,
-             contenders)
-        )
+        index = self.emitted
+        self.emitted = index + 1
+        self.last_ts = now_ps
+        if index % self.sample == self.sample_phase:
+            self._append((
+                now_ps, GRANT, name, output_key, packet.pid,
+                packet.kind._value_, contenders,
+            ))
 
     def mem_access(
         self, name: str, now_ps: int, ready_ps: int, row_hit: bool,
         is_write: bool,
     ) -> None:
         """A controller issued a bank access."""
-        self._emit((now_ps, MEM, name, ready_ps, row_hit, is_write))
+        index = self.emitted
+        self.emitted = index + 1
+        self.last_ts = now_ps
+        if index % self.sample == self.sample_phase:
+            self._append((now_ps, MEM, name, ready_ps, row_hit, is_write))
 
     def engine_event(self, now_ps: int, callback_name: str) -> None:
         """One engine event dispatch (only with trace_engine_events)."""
-        self._emit((now_ps, ENGINE, callback_name))
+        index = self.emitted
+        self.emitted = index + 1
+        self.last_ts = now_ps
+        if index % self.sample == self.sample_phase:
+            self._append((now_ps, ENGINE, callback_name))
 
     def link_retry(
         self, name: str, now_ps: int, replays: int, retry_ps: int
     ) -> None:
         """CRC-failed traversals replayed from a link's retry buffer."""
-        tally = self.link_replays
-        tally[name] = tally.get(name, 0) + replays
-        self._emit((now_ps, RETRY, name, replays, retry_ps))
+        index = self.emitted
+        self.emitted = index + 1
+        self.last_ts = now_ps
+        if index % self.sample == self.sample_phase:
+            self._append((now_ps, RETRY, name, replays, retry_ps))
 
     def ras_failure(self, now_ps: int, a: int, b: int) -> None:
         """A scheduled permanent failure killed edge (a, b)."""
         self.failures.append((now_ps, a, b))
-        self._emit((now_ps, FAULT, a, b))
+        index = self.emitted
+        self.emitted = index + 1
+        self.last_ts = now_ps
+        if index % self.sample == self.sample_phase:
+            self._append((now_ps, FAULT, a, b))
 
     def host_timeout(self, now_ps: int, tid: int, attempt: int) -> None:
         """A request's end-to-end deadline fired at the host edge."""
         self.host_timeouts += 1
-        self._emit((now_ps, HOST_TIMEOUT, tid, attempt))
+        index = self.emitted
+        self.emitted = index + 1
+        self.last_ts = now_ps
+        if index % self.sample == self.sample_phase:
+            self._append((now_ps, HOST_TIMEOUT, tid, attempt))
 
     def host_retry(self, now_ps: int, tid: int, attempt: int) -> None:
         """A timed-out request was re-queued after its backoff."""
         self.host_retries += 1
-        self._emit((now_ps, HOST_RETRY, tid, attempt))
+        index = self.emitted
+        self.emitted = index + 1
+        self.last_ts = now_ps
+        if index % self.sample == self.sample_phase:
+            self._append((now_ps, HOST_RETRY, tid, attempt))
 
     def host_shed(self, now_ps: int, tid: int) -> None:
         """Admission control refused a request at the host edge."""
         self.host_sheds += 1
-        self._emit((now_ps, HOST_SHED, tid))
+        index = self.emitted
+        self.emitted = index + 1
+        self.last_ts = now_ps
+        if index % self.sample == self.sample_phase:
+            self._append((now_ps, HOST_SHED, tid))
 
     # -- views ------------------------------------------------------------
     @property
+    def stored(self) -> int:
+        """Events the stride kept (some may since have been evicted):
+        the emission indices below ``emitted`` congruent to the phase."""
+        return (self.emitted - self.sample_phase + self.sample - 1) // self.sample
+
+    @property
+    def sampled_out(self) -> int:
+        """Events the stride skipped."""
+        return self.emitted - self.stored
+
+    @property
     def retained(self) -> int:
-        return min(self.stored, self.capacity)
+        return len(self._ring)
 
     @property
     def dropped(self) -> int:
@@ -216,25 +288,58 @@ class TraceRecorder:
         """Stored events the ring wrapped over."""
         return self.stored - self.retained
 
-    def _raw_events(self) -> List[tuple]:
-        """Retained ring tuples, oldest first, still integer-coded."""
-        if self.stored <= self.capacity:
-            return self._ring[: self.stored]
-        pos = self._pos
-        return self._ring[pos:] + self._ring[:pos]
-
     def events(self) -> List[tuple]:
         """Retained events decoded to the public string taxonomy."""
-        return [_decode(event) for event in self._raw_events()]
+        return [_decode(event) for event in self._ring]
+
+    # -- whole-run totals, read from the watched components ----------------
+    # Link and queue names are unique within a system, so each total is
+    # a name-ordered dict of one component's own counter.
+    @property
+    def link_busy_ps(self) -> Dict[str, int]:
+        """Serialization time per link that carried a packet, CRC replay
+        time excluded."""
+        return dict(sorted(
+            (link.name, link.busy_ps - link.replay_ps)
+            for link in self._links if link.packets_carried
+        ))
+
+    @property
+    def link_bits(self) -> Dict[str, int]:
+        return dict(sorted(
+            (link.name, link.bits_carried)
+            for link in self._links if link.packets_carried
+        ))
+
+    @property
+    def link_packets(self) -> Dict[str, int]:
+        return dict(sorted(
+            (link.name, link.packets_carried)
+            for link in self._links if link.packets_carried
+        ))
+
+    @property
+    def link_replays(self) -> Dict[str, int]:
+        """CRC replays per link that replayed at least once."""
+        return dict(sorted(
+            (link.name, link.replays) for link in self._links if link.replays
+        ))
+
+    @property
+    def queue_peak(self) -> Dict[str, int]:
+        """Peak occupancy per queue that ever held a packet."""
+        return dict(sorted(
+            (queue.name, queue.peak_occupancy)
+            for queue in self._queues if queue.peak_occupancy
+        ))
 
     def link_utilization(self, runtime_ps: Optional[int] = None) -> Dict[str, float]:
         """Fraction of the run each link spent serializing packets."""
+        busy_ps = self.link_busy_ps
         span = runtime_ps if runtime_ps else self.last_ts
         if not span:
-            return {name: 0.0 for name in self.link_busy_ps}
-        return {
-            name: busy / span for name, busy in sorted(self.link_busy_ps.items())
-        }
+            return {name: 0.0 for name in busy_ps}
+        return {name: busy / span for name, busy in busy_ps.items()}
 
     def summary(self, runtime_ps: Optional[int] = None) -> Dict[str, object]:
         return {
@@ -245,10 +350,10 @@ class TraceRecorder:
             "trace_sample": self.sample,
             "ring_capacity": self.capacity,
             "link_utilization": self.link_utilization(runtime_ps),
-            "link_bits": dict(sorted(self.link_bits.items())),
-            "link_packets": dict(sorted(self.link_packets.items())),
-            "queue_peak_depth": dict(sorted(self.queue_peak.items())),
-            "link_replays": dict(sorted(self.link_replays.items())),
+            "link_bits": self.link_bits,
+            "link_packets": self.link_packets,
+            "queue_peak_depth": self.queue_peak,
+            "link_replays": self.link_replays,
             "link_failures": [list(entry) for entry in self.failures],
             "host_timeouts": self.host_timeouts,
             "host_retries": self.host_retries,
@@ -262,14 +367,14 @@ class TraceRecorder:
         if kind == LINK:
             record.update(
                 link=event[2], ser_ps=event[3], arrival_ps=event[4],
-                pid=event[5], packet=event[6].name, bits=event[7],
+                pid=event[5], packet=PACKET_KIND_NAMES[event[6]], bits=event[7],
             )
         elif kind == QUEUE:
             record.update(queue=event[2], depth=event[3])
         elif kind == GRANT:
             record.update(
                 router=event[2], output=event[3], pid=event[4],
-                packet=event[5].name, contenders=event[6],
+                packet=PACKET_KIND_NAMES[event[5]], contenders=event[6],
             )
         elif kind == MEM:
             record.update(
@@ -294,7 +399,7 @@ class TraceRecorder:
         """One JSON object per event, plus a trailing summary record."""
         lines = [
             json.dumps(self._event_to_record(event), separators=(",", ":"))
-            for event in self._raw_events()
+            for event in self._ring
         ]
         summary = {"kind": "summary"}
         summary.update(self.summary(runtime_ps))
@@ -324,14 +429,14 @@ class TraceRecorder:
                 )
             return number
 
-        for event in self._raw_events():
+        for event in self._ring:
             ts_us = event[0] / 1e6
             kind = event[1]
             if kind == LINK:
                 events.append(
                     {
                         "ph": "X", "cat": "link",
-                        "name": f"{event[6].name} #{event[5]}",
+                        "name": f"{PACKET_KIND_NAMES[event[6]]} #{event[5]}",
                         "pid": 0, "tid": tid(f"link {event[2]}"),
                         "ts": ts_us, "dur": event[3] / 1e6,
                         "args": {"bits": event[7], "arrival_ps": event[4]},
@@ -348,7 +453,10 @@ class TraceRecorder:
                 events.append(
                     {
                         "ph": "i", "s": "t", "cat": "grant",
-                        "name": f"grant {event[5].name} #{event[4]} -> {event[3]}",
+                        "name": (
+                            f"grant {PACKET_KIND_NAMES[event[5]]} #{event[4]}"
+                            f" -> {event[3]}"
+                        ),
                         "pid": 0, "tid": tid(f"router {event[2]}"),
                         "ts": ts_us,
                         "args": {"contenders": event[6]},

@@ -118,9 +118,11 @@ def execute_job(job: SimJob) -> SimResult:
     """Run one job to completion (top-level so it pickles to workers)."""
     from repro.system import MemoryNetworkSystem
 
-    return MemoryNetworkSystem(
-        job.config, job.workload, requests=job.requests
-    ).run()
+    system = MemoryNetworkSystem(job.config, job.workload, requests=job.requests)
+    try:
+        return system.run()
+    finally:
+        system.close()
 
 
 def _worker_init() -> None:

@@ -94,7 +94,6 @@ class MemoryNetworkSystem:
         self._guarded = False
         self._attach_ras()
         self._warmup_count = int(requests * config.warmup_fraction)
-        self._completed_count = 0
         self._started = False
         # Invariant audits (repro.check): like the engine choice, audit
         # enablement is not part of the config — audits verify a run
@@ -288,15 +287,21 @@ class MemoryNetworkSystem:
         if obs.trace_engine_events:
             self.engine.set_tracer(tracer)
         self.port.tracer = tracer
-        for link, _kind in self._links:
+        links = [link for link, _kind in self._links]
+        queues = []
+        for link in links:
             link.tracer = tracer
         for router in self._routers.values():
             router.tracer = tracer
             for queue in router.inputs:
                 queue.tracer = tracer
+                queues.append(queue)
         for cube in self.cubes.values():
             for controller in cube.controllers:
                 controller.tracer = tracer
+        # The summary's link and queue totals are these components' own
+        # counters, so the hooks never count them a second time.
+        tracer.watch(links, queues)
         return tracer
 
     def _attach_ras(self) -> None:
@@ -558,8 +563,8 @@ class MemoryNetworkSystem:
         return True
 
     def _transaction_done(self, engine: Engine, txn: Transaction) -> None:
-        self._completed_count += 1
-        if not txn.failed and self._completed_count > self._warmup_count:
+        # The port counted this retirement before calling the hook.
+        if not txn.failed and self.port.retired > self._warmup_count:
             self.collector.add(txn)
         else:
             # warm-up and failed transactions still define the runtime
@@ -615,6 +620,19 @@ class MemoryNetworkSystem:
         if self.auditor is not None:
             self.auditor.audit_result(result)
         return result
+
+    def close(self) -> None:
+        """Free the run-scoped buffers the result does not need.
+
+        Today that is the trace ring (dumps, if configured, were written
+        by :meth:`run`).  A finished system sits in reference cycles
+        until a full garbage collection, so without this its ring would
+        stay alive while the next job fills a new one.  The tracer's
+        counts and summary stay readable; its :meth:`~repro.obs.
+        TraceRecorder.events` are empty afterwards.
+        """
+        if self.tracer is not None:
+            self.tracer.close()
 
     def _result(self) -> SimResult:
         external_bits = sum(

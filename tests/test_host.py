@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import HostConfig
+from repro.errors import ConfigError
 from repro.host.directory import Directory
 from repro.net.packet import KIND_READ, KIND_WRITE, Transaction
 from repro.system import MemoryNetworkSystem
@@ -141,6 +142,28 @@ class TestHostPort:
         write = next(t for t in txns if t.is_write)
         read = next(t for t in txns if not t.is_write)
         assert read.start_ps >= write.complete_ps
+
+    def test_write_flagged_copy_rejected_by_name(self):
+        """A hand-built request cannot be both a write and a p2p copy."""
+        requests_list = [
+            Request(address=0x40, is_write=False, gap_ps=0, is_p2p=True),
+            Request(address=0x80, is_write=True, gap_ps=0, is_p2p=True),
+        ]
+        system = MemoryNetworkSystem(
+            small_config(),
+            fast_workload(),
+            requests=2,
+            workload_iter=iter(requests_list),
+        )
+        with pytest.raises(ConfigError, match="is_write and is_p2p"):
+            system.run()
+
+    def test_retired_total_counts_every_disposition(self):
+        system, _ = run_system(requests=120)
+        port = system.port
+        assert port.retired == 120 == (
+            port.completed + port.failed + port.timed_out + port.shed
+        )
 
     def test_hysteresis_toggles_on_write_bursts(self):
         config = small_config(

@@ -197,29 +197,63 @@ class TestTraceRecorder:
         for i in range(10):
             recorder.queue_depth("q", i, i)
         assert recorder.emitted == 10
-        assert len(recorder.events()) == 4
+        assert [event[3] for event in recorder.events()] == [6, 7, 8, 9]
         assert recorder.dropped == 6
-        assert recorder.queue_peak["q"] == 9  # aggregates survive eviction
+        # On a real run, the whole-run aggregates survive eviction: a
+        # ring that wrapped reports the same totals as one that did not.
+        base = small_config().with_obs(trace=True)
+        whole, result = run_system(base, requests=60)
+        wrapped, _ = run_system(base.with_obs(trace=True, trace_ring=16), requests=60)
+        assert wrapped.tracer.evicted > 0 and whole.tracer.evicted == 0
+        totals = whole.tracer.summary(result.runtime_ps)
+        summary = wrapped.tracer.summary(result.runtime_ps)
+        for key in ("link_utilization", "link_bits", "link_packets",
+                    "queue_peak_depth"):
+            assert summary[key] == totals[key] and totals[key]
+        assert totals["queue_peak_depth"] == {
+            queue.name: queue.peak_occupancy
+            for router in whole._routers.values()
+            for queue in router.inputs
+            if queue.peak_occupancy
+        }
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             TraceRecorder(capacity=0)
 
     def test_link_aggregates(self):
-        class FakePacket:
-            pid = 1
-            size_bits = 128
+        # With the whole run in the ring, each link's totals are the sums
+        # over its link events.
+        config = small_config().with_obs(trace=True)
+        system, result = run_system(config, requests=60)
+        tracer = system.tracer
+        assert tracer.evicted == 0 and tracer.sampled_out == 0
+        busy, bits, packets = {}, {}, {}
+        for event in tracer.events():
+            if event[1] == "link":
+                _ts, _kind, name, ser_ps, _arrival, _pid, _packet, size = event
+                busy[name] = busy.get(name, 0) + ser_ps
+                bits[name] = bits.get(name, 0) + size
+                packets[name] = packets.get(name, 0) + 1
+        assert busy and tracer.link_busy_ps == busy
+        assert tracer.link_bits == bits
+        assert tracer.link_packets == packets
+        util = tracer.link_utilization(runtime_ps=result.runtime_ps)
+        assert util == {
+            name: ps / result.runtime_ps for name, ps in sorted(busy.items())
+        }
 
-            class kind:
-                name = "REQ_RD"
-
-        recorder = TraceRecorder()
-        recorder.link_send("0->1", 100, 50, 80, FakePacket())
-        recorder.link_send("0->1", 200, 50, 80, FakePacket())
-        assert recorder.link_busy_ps["0->1"] == 100
-        assert recorder.link_bits["0->1"] == 256
-        util = recorder.link_utilization(runtime_ps=1000)
-        assert util["0->1"] == pytest.approx(0.1)
+    def test_closed_system_frees_ring(self):
+        config = small_config().with_obs(trace=True)
+        system, result = run_system(config, requests=60)
+        summary = system.tracer.summary(result.runtime_ps)
+        assert system.tracer.retained > 0
+        system.close()
+        assert system.tracer.events() == []
+        after = system.tracer.summary(result.runtime_ps)
+        assert after["events_retained"] == 0
+        assert after["events_emitted"] == summary["events_emitted"]
+        assert after["link_bits"] == summary["link_bits"]
 
     def test_system_attaches_tracer_and_records(self):
         config = small_config().with_obs(attribution=True, trace=True)

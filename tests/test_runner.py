@@ -8,7 +8,10 @@ in a worker process.  Equality is asserted on
 """
 
 import dataclasses
+import gc
 import json
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -33,7 +36,7 @@ from repro.serialization import (
     result_to_state,
 )
 from repro.sweep import Sweep
-from repro.system import simulate
+from repro.system import MemoryNetworkSystem, simulate
 from repro.units import ns
 from repro.workloads import WorkloadSpec
 
@@ -289,6 +292,34 @@ class TestResultCache:
         cache = ResultCache()
         assert cache.get("nope") is None
         assert cache.misses == 1
+
+
+class TestExecuteJob:
+    def test_traced_job_frees_its_ring(self):
+        # A finished system sits in reference cycles until a full
+        # collection; execute_job must not leave its trace ring alive
+        # for that long.  With the collector off, the memory a traced
+        # job leaves behind stays far below the size of its ring.
+        sim_job = SimJob(small_config().with_obs(trace=True), fast_workload(), 1200)
+        system = MemoryNetworkSystem(
+            sim_job.config, sim_job.workload, requests=sim_job.requests
+        )
+        system.run()
+        ring_bytes = sum(map(sys.getsizeof, system.tracer.events()))
+        del system
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = execute_job(sim_job)
+            del result
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert ring_bytes > 1_000_000
+        assert growth < ring_bytes / 2, (growth, ring_bytes)
 
 
 class TestParallelRunner:

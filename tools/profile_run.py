@@ -12,6 +12,14 @@ the buckets are ranked by the time spent in their own code.  That table
 answers "which component do I attack next" directly, without mentally
 summing a dozen pstats rows per file.
 
+After the rollup it prints the cyclic garbage collector's cost during
+the run: total time and, per generation, collections, time and objects
+collected (timed through ``gc.callbacks``).  cProfile has no row for the
+collector; its passes are billed to whichever function's allocation
+triggered them, so a hook that allocates long-lived tracked objects
+(tuples of non-atomic values, say) looks cheaper in the listing than it
+is.
+
 Usage::
 
     PYTHONPATH=src python tools/profile_run.py [--requests N]
@@ -27,8 +35,10 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 import sys
+import time
 
 from repro.config import SystemConfig, parse_label
 from repro.system import MemoryNetworkSystem
@@ -72,6 +82,45 @@ def print_component_table(stats: pstats.Stats) -> None:
         )
 
 
+class GcClock:
+    """Collections, objects collected and seconds spent in the cyclic
+    garbage collector, per generation, while registered."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.collected = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        generation = info["generation"]
+        self.collections[generation] += 1
+        self.collected[generation] += info["collected"]
+        self.seconds[generation] += time.perf_counter() - self._started
+
+    def __enter__(self) -> "GcClock":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self)
+
+    def print_table(self, wall_s: float) -> None:
+        total = sum(self.seconds)
+        share = total / wall_s if wall_s else 0.0
+        print(f"\ngarbage collection: {total:.3f} s ({share:.1%} of the run)")
+        print(f"  {'gen':<4} {'collections':>11} {'seconds':>8} {'collected':>10}")
+        for generation in range(3):
+            print(
+                f"  {generation:<4} {self.collections[generation]:11d} "
+                f"{self.seconds[generation]:8.3f} "
+                f"{self.collected[generation]:10d}"
+            )
+
+
 def profile_simulation(
     requests: int,
     workload: str,
@@ -89,9 +138,12 @@ def profile_simulation(
     system = MemoryNetworkSystem(config, get_workload(workload), requests=requests)
 
     profiler = cProfile.Profile()
-    profiler.enable()
-    result = system.run()
-    profiler.disable()
+    with GcClock() as gc_clock:
+        started = time.perf_counter()
+        profiler.enable()
+        result = system.run()
+        profiler.disable()
+        wall_s = time.perf_counter() - started
 
     print(
         f"{workload} x {requests} requests"
@@ -103,6 +155,7 @@ def profile_simulation(
         stats.dump_stats(stats_path)
         print(f"raw stats written to {stats_path}")
     print_component_table(stats)
+    gc_clock.print_table(wall_s)
     print()
     stats.sort_stats(sort).print_stats(limit)
 
