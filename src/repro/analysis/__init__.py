@@ -1,7 +1,6 @@
-"""Result analysis: tables, speedup grids, latency breakdowns."""
+"""Result analysis: tables and speedup grids."""
 
-from repro.analysis.tables import render_table, format_percent
-from repro.analysis.speedup import SpeedupGrid
-from repro.analysis.breakdown import breakdown_rows
+from repro.analysis.tables import render_table
+from repro.analysis.speedup import column_means, render_speedups, speedups
 
-__all__ = ["render_table", "format_percent", "SpeedupGrid", "breakdown_rows"]
+__all__ = ["render_table", "column_means", "render_speedups", "speedups"]

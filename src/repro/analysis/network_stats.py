@@ -76,11 +76,6 @@ def cube_stats(system) -> List[CubeStats]:
     return stats
 
 
-def underutilized_links(system, threshold: float = 0.10) -> List[LinkStats]:
-    """Links whose busy fraction is below ``threshold`` (Section 4.2)."""
-    return [s for s in link_stats(system) if s.utilization < threshold]
-
-
 def render_link_report(system) -> str:
     rows = [
         [s.name, s.kind, s.packets, f"{s.utilization * 100:.1f}%"]

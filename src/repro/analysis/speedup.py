@@ -1,99 +1,61 @@
-"""Speedup grids: workloads x configurations, normalized to a baseline."""
+"""Speedup tables over a keyed batch of results, in percent.
+
+An experiment resolves its jobs with
+:meth:`repro.runner.ParallelRunner.run_keyed`; these functions read the
+``{key: SimResult}`` mapping it returns, with keys shaped
+``(column, row)`` (:func:`repro.experiments.base.grid_jobs` keys
+``(config key, workload name)``).
+"""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Hashable, Mapping, Optional, Sequence
 
 from repro.analysis.tables import render_table
-from repro.config import SystemConfig, parse_label
 from repro.results import SimResult
-from repro.runner import SimJob, get_runner
-from repro.workloads import WorkloadSpec
+
+Grid = Mapping[Hashable, Mapping[Hashable, float]]
 
 
-class SpeedupGrid:
-    """Run a set of MN configurations over a workload suite.
-
-    All simulations go through the ambient runner, whose
-    content-addressed cache means a baseline shared by several figures
-    (or several grids) is only simulated once per cache lifetime.
-    :meth:`prefetch` dispatches a whole label set as one batch so the
-    runner can execute the grid's points in parallel.
-    """
-
-    def __init__(
-        self,
-        workloads: Sequence[WorkloadSpec],
-        requests: int = 2000,
-        base_config: Optional[SystemConfig] = None,
-        config_fn: Optional[Callable[[str], SystemConfig]] = None,
-    ) -> None:
-        self.workloads = list(workloads)
-        self.requests = requests
-        self.base_config = base_config or SystemConfig()
-        self.config_fn = config_fn or (
-            lambda label: parse_label(label, self.base_config)
-        )
-
-    # ------------------------------------------------------------------
-    def _job(self, label: str, workload: WorkloadSpec) -> SimJob:
-        return SimJob(
-            config=self.config_fn(label),
-            workload=workload,
-            requests=self.requests,
-        )
-
-    def result(self, label: str, workload: WorkloadSpec) -> SimResult:
-        return get_runner().run_one(self._job(label, workload))
-
-    def prefetch(self, labels: Sequence[str]) -> None:
-        """Simulate every (label, workload) point as one parallel batch.
-
-        Subsequent :meth:`result` calls are then cache hits.  Callers
-        that loop over :meth:`result` directly should prefetch first;
-        :meth:`speedups` does it automatically.
-        """
-        get_runner().run(
-            [
-                self._job(label, workload)
-                for workload in self.workloads
-                for label in labels
-            ]
-        )
-
-    def speedups(
-        self, labels: Sequence[str], baseline_label: str
-    ) -> Dict[str, Dict[str, float]]:
-        """Per-workload percent speedup of each label over the baseline."""
-        self.prefetch(list(labels) + [baseline_label])
-        grid: Dict[str, Dict[str, float]] = {}
-        for workload in self.workloads:
-            base = self.result(baseline_label, workload)
-            grid[workload.name] = {
-                label: self.result(label, workload).speedup_over(base) * 100.0
-                for label in labels
-            }
-        return grid
-
-    def averages(
-        self, grid: Dict[str, Dict[str, float]], labels: Sequence[str]
-    ) -> Dict[str, float]:
-        count = len(grid) or 1
-        return {
-            label: sum(row[label] for row in grid.values()) / count
-            for label in labels
+def speedups(
+    results: Mapping[tuple, SimResult],
+    rows: Sequence[Hashable],
+    columns: Sequence[Hashable],
+    baseline: Hashable,
+) -> Dict[Hashable, Dict[Hashable, float]]:
+    """``{row: {column: percent}}``: how much faster
+    ``results[column, row]`` ran than ``results[baseline, row]``."""
+    return {
+        row: {
+            column: results[column, row].speedup_over(results[baseline, row])
+            * 100.0
+            for column in columns
         }
+        for row in rows
+    }
 
-    def render(
-        self,
-        labels: Sequence[str],
-        baseline_label: str,
-        title: str = "",
-    ) -> str:
-        grid = self.speedups(labels, baseline_label)
-        rows: List[List[object]] = []
-        for name, row in grid.items():
-            rows.append([name] + [f"{row[label]:+.1f}%" for label in labels])
-        averages = self.averages(grid, labels)
-        rows.append(["average"] + [f"{averages[label]:+.1f}%" for label in labels])
-        return render_table(["workload"] + list(labels), rows, title=title)
+
+def column_means(grid: Grid, columns: Sequence[Hashable]) -> Dict[Hashable, float]:
+    """Each column's mean over the rows of ``grid``."""
+    count = len(grid) or 1
+    return {
+        column: sum(row[column] for row in grid.values()) / count
+        for column in columns
+    }
+
+
+def render_speedups(
+    grid: Grid,
+    means: Mapping[Hashable, float],
+    title: str,
+    headers: Optional[Sequence[str]] = None,
+) -> str:
+    """``grid`` as a workload x column table of signed percents, one
+    column per key of ``means``, closed by an ``average`` row."""
+    columns = list(means)
+    rows = [
+        [name] + [f"{row[column]:+.1f}%" for column in columns]
+        for name, row in grid.items()
+    ]
+    rows.append(["average"] + [f"{means[column]:+.1f}%" for column in columns])
+    return render_table(["workload"] + list(headers or columns), rows, title=title)

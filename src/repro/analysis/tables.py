@@ -5,11 +5,6 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 
-def format_percent(value: float, digits: int = 1) -> str:
-    """Format a ratio-as-percent value, e.g. ``12.3%`` / ``-4.0%``."""
-    return f"{value:.{digits}f}%"
-
-
 def render_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],

@@ -60,6 +60,13 @@ def _matrix_workload() -> WorkloadSpec:
     )
 
 
+def _hot_write_workload() -> WorkloadSpec:
+    """Write-heavy traffic on a hot set of lines, one line per run."""
+    return replace(
+        _matrix_workload(), read_fraction=0.3, locality_lines=1.0, skew=0.99
+    )
+
+
 def _p2p_workload() -> WorkloadSpec:
     return replace(_matrix_workload(), p2p_fraction=0.15)
 
@@ -152,6 +159,18 @@ def matrix_cases() -> List[MatrixCase]:
     ))
     cases.append((
         "overload/ras", overload_base.with_ras(bit_error_rate=1e-6), overload
+    ))
+    # Read-priority injection: writes pile up on a few hot lines, so one
+    # write ack makes a stalled write and a younger stalled read to its
+    # line eligible in the same pick, and the rule decides which goes
+    # first.  The rest of the matrix never reaches such a pick.
+    read_priority = _matrix_config(topology="skiplist")
+    cases.append((
+        "skiplist/read-priority",
+        read_priority.with_(
+            host=replace(read_priority.host, read_priority_injection=True)
+        ),
+        _hot_write_workload(),
     ))
     return cases
 

@@ -268,8 +268,8 @@ class ObsConfig:
     """Opt-in observability: latency attribution and event tracing.
 
     Everything here defaults to *off*; the simulator's hot paths then pay
-    at most a ``None``/flag check per event (the zero-overhead guard
-    benchmarked by ``benchmarks/bench_runner.py``).
+    at most a ``None``/flag check per event (the obs-off cell of
+    ``benchmarks/bench_engine.py``).
 
     ``attribution`` makes every transaction accumulate timestamped
     latency segments (see :mod:`repro.obs.attribution`), which surface as

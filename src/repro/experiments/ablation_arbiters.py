@@ -10,14 +10,21 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.analysis import SpeedupGrid, render_table
-from repro.config import VALID_ARBITERS, SystemConfig, parse_label
+from repro.analysis import render_table
+from repro.config import (
+    ARBITER_ROUND_ROBIN,
+    VALID_ARBITERS,
+    SystemConfig,
+    parse_label,
+)
 from repro.experiments.base import (
     DEFAULT_REQUESTS,
     ExperimentOutput,
     base_system,
+    grid_jobs,
     suite,
 )
+from repro.runner import get_runner
 from repro.workloads import WorkloadSpec
 
 TOPOLOGY_LABELS = ["100%-C", "100%-T", "50%-C (NVM-L)", "50%-T (NVM-F)"]
@@ -29,35 +36,26 @@ def run(
     base_config: Optional[SystemConfig] = None,
 ) -> ExperimentOutput:
     base = base_system(base_config)
-
-    def config_fn(label: str) -> SystemConfig:
-        topo_label, _, arbiter = label.partition("|")
-        config = parse_label(topo_label, base)
-        if arbiter:
-            config = config.with_(arbiter=arbiter)
-        return config
-
-    grid = SpeedupGrid(
-        suite(workloads), requests=requests, base_config=base, config_fn=config_fn
-    )
-    grid.prefetch(
-        [
-            f"{topo_label}|{arbiter}"
-            for topo_label in TOPOLOGY_LABELS
-            for arbiter in ("round_robin",) + tuple(VALID_ARBITERS)
-        ]
-    )
+    specs = suite(workloads)
+    configs = {
+        (topo_label, arbiter): parse_label(topo_label, base).with_(arbiter=arbiter)
+        for topo_label in TOPOLOGY_LABELS
+        for arbiter in VALID_ARBITERS
+    }
+    results = get_runner().run_keyed(grid_jobs(configs, specs, requests))
     data: Dict[str, Dict[str, float]] = {}
     rows = []
     for topo_label in TOPOLOGY_LABELS:
         data[topo_label] = {}
         row = [topo_label]
         for arbiter in VALID_ARBITERS:
-            deltas = []
-            for workload in grid.workloads:
-                rr = grid.result(f"{topo_label}|round_robin", workload)
-                alt = grid.result(f"{topo_label}|{arbiter}", workload)
-                deltas.append(alt.speedup_over(rr) * 100.0)
+            deltas = [
+                results[(topo_label, arbiter), w.name].speedup_over(
+                    results[(topo_label, ARBITER_ROUND_ROBIN), w.name]
+                )
+                * 100.0
+                for w in specs
+            ]
             mean = sum(deltas) / len(deltas)
             data[topo_label][arbiter] = mean
             row.append(f"{mean:+.2f}%")

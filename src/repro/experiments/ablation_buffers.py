@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Optional, Sequence
 
-from repro.analysis import SpeedupGrid, render_table
+from repro.analysis import render_table, speedups
 from repro.config import SystemConfig, parse_label
 from repro.experiments.base import (
     DEFAULT_REQUESTS,
@@ -18,9 +18,13 @@ from repro.experiments.base import (
     base_system,
     suite,
 )
+from repro.runner import SimJob, get_runner
 from repro.workloads import WorkloadSpec, get_workload
 
 DEPTHS = (1, 2, 4, 8, 16)
+TOPOLOGIES = ("100%-C", "100%-T")
+#: The default depth (one of DEPTHS) every depth is measured against.
+REFERENCE_DEPTH = 8
 
 
 def run(
@@ -30,35 +34,23 @@ def run(
 ) -> ExperimentOutput:
     base = base_system(base_config)
     workload = (suite(workloads) or [get_workload("KMEANS")])[0]
-
-    def config_fn(label: str) -> SystemConfig:
-        topo_label, _, depth = label.partition("|")
-        config = parse_label(topo_label, base)
-        if depth:
-            config = config.with_(
-                link=replace(config.link, input_buffer_packets=int(depth))
-            )
-        return config
-
-    grid = SpeedupGrid(
-        [workload], requests=requests, base_config=base, config_fn=config_fn
-    )
-    grid.prefetch(
-        [f"{topo}|{depth}" for topo in ("100%-C", "100%-T") for depth in DEPTHS]
-        + ["100%-C|8", "100%-T|8"]
-    )
-    data: Dict[str, Dict[int, float]] = {}
-    rows = []
-    for topo in ("100%-C", "100%-T"):
-        data[topo] = {}
-        reference = grid.result(f"{topo}|8", workload)
-        row = [topo]
+    jobs = {}
+    for topo in TOPOLOGIES:
+        config = parse_label(topo, base)
         for depth in DEPTHS:
-            result = grid.result(f"{topo}|{depth}", workload)
-            delta = result.speedup_over(reference) * 100.0
-            data[topo][depth] = delta
-            row.append(f"{delta:+.1f}%")
-        rows.append(row)
+            jobs[depth, topo] = SimJob(
+                config.with_(link=replace(config.link, input_buffer_packets=depth)),
+                workload,
+                requests,
+            )
+    results = get_runner().run_keyed(jobs)
+    data: Dict[str, Dict[int, float]] = speedups(
+        results, TOPOLOGIES, DEPTHS, REFERENCE_DEPTH
+    )
+    rows = [
+        [topo] + [f"{data[topo][depth]:+.1f}%" for depth in DEPTHS]
+        for topo in TOPOLOGIES
+    ]
     text = render_table(
         ["configuration"] + [f"{d} slots" for d in DEPTHS],
         rows,

@@ -10,17 +10,22 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Optional, Sequence
 
-from repro.analysis import SpeedupGrid, render_table
+from repro.analysis import render_table
 from repro.config import SystemConfig, parse_label
 from repro.experiments.base import (
     DEFAULT_REQUESTS,
     ExperimentOutput,
     base_system,
+    grid_jobs,
     suite,
 )
+from repro.runner import get_runner
 from repro.workloads import WorkloadSpec
 
 GRANULARITIES = (64, 256, 1024)
+#: The paper's granularity (one of GRANULARITIES), which every
+#: granularity is measured against.
+REFERENCE_GRAIN = 256
 
 
 def run(
@@ -28,30 +33,20 @@ def run(
     workloads: Optional[Sequence[WorkloadSpec]] = None,
     base_config: Optional[SystemConfig] = None,
 ) -> ExperimentOutput:
-    base = base_system(base_config)
-
-    def config_fn(label: str) -> SystemConfig:
-        topo_label, _, grain = label.partition("|")
-        config = parse_label(topo_label, base)
-        if grain:
-            config = config.with_(
-                host=replace(config.host, interleave_bytes=int(grain))
-            )
-        return config
-
-    grid = SpeedupGrid(
-        suite(workloads), requests=requests, base_config=base, config_fn=config_fn
-    )
-    grid.prefetch(
-        ["100%-T|256"] + [f"100%-T|{grain}" for grain in GRANULARITIES]
-    )
+    specs = suite(workloads)
+    tree = parse_label("100%-T", base_system(base_config))
+    configs = {
+        grain: tree.with_(host=replace(tree.host, interleave_bytes=grain))
+        for grain in GRANULARITIES
+    }
+    results = get_runner().run_keyed(grid_jobs(configs, specs, requests))
     rows = []
     data: Dict[str, Dict[int, Dict[str, float]]] = {}
-    for workload in grid.workloads:
+    for workload in specs:
         data[workload.name] = {}
-        base_result = grid.result("100%-T|256", workload)
+        base_result = results[REFERENCE_GRAIN, workload.name]
         for grain in GRANULARITIES:
-            result = grid.result(f"100%-T|{grain}", workload)
+            result = results[grain, workload.name]
             data[workload.name][grain] = {
                 "speedup_vs_256": result.speedup_over(base_result) * 100.0,
                 "row_hit_rate": result.row_hit_rate * 100.0,

@@ -24,7 +24,7 @@ See ``docs/ras.md`` for the overload model.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.analysis import render_table
 from repro.config import SystemConfig, parse_label
@@ -72,26 +72,21 @@ def run(
     # Overload behaviour is a property of the host edge and the network,
     # so one representative workload keeps the sweep tractable.
     workload = suite(workloads)[0]
-    runner = get_runner()
-
-    keys: List[Tuple[str, float]] = []
-    jobs: List[SimJob] = []
-    for leg in LEGS:
-        config = _leg_config(leg, base)
-        for factor in LOAD_FACTORS:
-            jobs.append(
-                SimJob(
-                    config=config,
-                    workload=replace(
-                        workload,
-                        arrival="poisson",
-                        mean_gap_ns=workload.mean_gap_ns / factor,
-                    ),
-                    requests=requests,
-                )
+    results = get_runner().run_keyed(
+        {
+            (leg, factor): SimJob(
+                _leg_config(leg, base),
+                replace(
+                    workload,
+                    arrival="poisson",
+                    mean_gap_ns=workload.mean_gap_ns / factor,
+                ),
+                requests,
             )
-            keys.append((leg, factor))
-    results = dict(zip(keys, runner.run(jobs)))
+            for leg in LEGS
+            for factor in LOAD_FACTORS
+        }
+    )
 
     goodput: Dict[str, Dict[float, float]] = {}
     p99: Dict[str, Dict[float, float]] = {}

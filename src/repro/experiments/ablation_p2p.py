@@ -22,7 +22,7 @@ a round trip through the host.  Two effects to watch:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.analysis import render_table
 from repro.config import SystemConfig, parse_label
@@ -49,25 +49,19 @@ def run(
     # Like the RAS ablation: the copy path is a property of the network,
     # so one representative workload keeps the sweep tractable.
     workload = suite(workloads)[0]
-    runner = get_runner()
     configs = {
         label: parse_label(label, base).with_(p2p_pattern="promote")
         for label in TOPOLOGIES
     }
-
-    keys: List[Tuple[str, float]] = []
-    jobs: List[SimJob] = []
-    for topo in TOPOLOGIES:
-        for fraction in P2P_FRACTIONS:
-            jobs.append(
-                SimJob(
-                    config=configs[topo],
-                    workload=replace(workload, p2p_fraction=fraction),
-                    requests=requests,
-                )
+    results = get_runner().run_keyed(
+        {
+            (topo, fraction): SimJob(
+                configs[topo], replace(workload, p2p_fraction=fraction), requests
             )
-            keys.append((topo, fraction))
-    results = dict(zip(keys, runner.run(jobs)))
+            for topo in TOPOLOGIES
+            for fraction in P2P_FRACTIONS
+        }
+    )
 
     rows = []
     grid: Dict[str, Dict[float, float]] = {}

@@ -19,7 +19,7 @@ farthest cube, so every topology loses a comparably central link.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis import render_table
 from repro.config import SystemConfig, parse_label
@@ -66,30 +66,18 @@ def run(
     runner = get_runner()
     configs = {label: parse_label(label, base) for label in TOPOLOGIES}
 
-    # Healthy baselines (also the BER=0 column and the runtime anchor
-    # for scheduling the permanent failures).
-    healthy_jobs = [
-        SimJob(config=configs[t], workload=workload, requests=requests)
-        for t in TOPOLOGIES
-    ]
-    healthy = dict(zip(TOPOLOGIES, runner.run(healthy_jobs)))
-
     # -- transient-error sweep --------------------------------------------
-    ber_keys: List[Tuple[str, float]] = []
-    ber_jobs: List[SimJob] = []
+    # Stage one: its BER=0 column is the healthy run, whose runtime
+    # schedules the permanent failures of stage two.
+    ber_jobs = {}
     for topo in TOPOLOGIES:
+        ber_jobs[topo, BERS[0]] = SimJob(configs[topo], workload, requests)
         for ber in BERS[1:]:
-            ber_jobs.append(
-                SimJob(
-                    config=configs[topo].with_ras(bit_error_rate=ber),
-                    workload=workload,
-                    requests=requests,
-                )
+            ber_jobs[topo, ber] = SimJob(
+                configs[topo].with_ras(bit_error_rate=ber), workload, requests
             )
-            ber_keys.append((topo, ber))
-    ber_results = dict(zip(ber_keys, runner.run(ber_jobs)))
-    for topo in TOPOLOGIES:
-        ber_results[(topo, 0.0)] = healthy[topo]
+    ber_results = runner.run_keyed(ber_jobs)
+    healthy = {topo: ber_results[topo, BERS[0]] for topo in TOPOLOGIES}
 
     ber_rows = []
     ber_data: Dict[str, Dict[float, float]] = {}
@@ -114,25 +102,19 @@ def run(
     )
 
     # -- permanent-failure sweep ------------------------------------------
-    fail_keys: List[Tuple[str, float]] = []
-    fail_jobs: List[SimJob] = []
+    fail_jobs = {}
     edges: Dict[str, Tuple[int, int]] = {}
     for topo in TOPOLOGIES:
-        edge = edges[topo] = _failure_edge(configs[topo])
+        a, b = edges[topo] = _failure_edge(configs[topo])
         runtime_ps = healthy[topo].runtime_ps
         for fraction in FAILURE_FRACTIONS:
             when = max(int(runtime_ps * fraction), 1)
-            fail_jobs.append(
-                SimJob(
-                    config=configs[topo].with_ras(
-                        link_failures=((edge[0], edge[1], when),)
-                    ),
-                    workload=workload,
-                    requests=requests,
-                )
+            fail_jobs[topo, fraction] = SimJob(
+                configs[topo].with_ras(link_failures=((a, b, when),)),
+                workload,
+                requests,
             )
-            fail_keys.append((topo, fraction))
-    fail_results = dict(zip(fail_keys, runner.run(fail_jobs)))
+    fail_results = runner.run_keyed(fail_jobs)
 
     fail_rows = []
     availability: Dict[str, Dict[float, float]] = {}

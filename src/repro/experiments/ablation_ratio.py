@@ -9,14 +9,16 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.analysis import SpeedupGrid, render_table
+from repro.analysis import column_means, render_speedups, speedups
 from repro.config import NVM_LAST, TOPOLOGY_TREE, SystemConfig
 from repro.experiments.base import (
     DEFAULT_REQUESTS,
     ExperimentOutput,
     base_system,
+    grid_jobs,
     suite,
 )
+from repro.runner import get_runner
 from repro.workloads import WorkloadSpec
 
 FRACTIONS = (1.0, 0.75, 0.50, 0.25, 0.0)
@@ -36,44 +38,28 @@ def run(
         except Exception:
             continue
         fractions.append(fraction)
-
-    def config_fn(label: str) -> SystemConfig:
-        if label == "baseline":
-            return base.with_(topology="chain", dram_fraction=1.0)
-        return base.with_(
-            topology=TOPOLOGY_TREE,
-            dram_fraction=float(label),
-            nvm_placement=NVM_LAST,
+    configs = {
+        fraction: base.with_(
+            topology=TOPOLOGY_TREE, dram_fraction=fraction, nvm_placement=NVM_LAST
         )
-
-    grid = SpeedupGrid(
-        suite(workloads), requests=requests, base_config=base, config_fn=config_fn
+        for fraction in fractions
+    }
+    configs["baseline"] = base.with_(topology="chain", dram_fraction=1.0)
+    specs = suite(workloads)
+    results = get_runner().run_keyed(grid_jobs(configs, specs, requests))
+    data: Dict[str, Dict[float, float]] = speedups(
+        results, [w.name for w in specs], fractions, "baseline"
     )
-    grid.prefetch(["baseline"] + [str(fraction) for fraction in fractions])
-    rows = []
-    data: Dict[str, Dict[float, float]] = {}
-    for workload in grid.workloads:
-        base_result = grid.result("baseline", workload)
-        data[workload.name] = {}
-        row = [workload.name]
-        for fraction in fractions:
-            result = grid.result(str(fraction), workload)
-            speedup = result.speedup_over(base_result) * 100.0
-            data[workload.name][fraction] = speedup
-            row.append(f"{speedup:+.1f}%")
-        rows.append(row)
-    averages = [
-        sum(data[w][f] for w in data) / len(data) for f in fractions
-    ]
-    rows.append(["average"] + [f"{a:+.1f}%" for a in averages])
-    text = render_table(
-        ["workload"] + [f"{int(f * 100)}% DRAM" for f in fractions],
-        rows,
+    averages = column_means(data, fractions)
+    text = render_speedups(
+        data,
+        averages,
         title="Ablation: DRAM fraction sweep on the tree (NVM-L), vs 100%-C",
+        headers=[f"{int(f * 100)}% DRAM" for f in fractions],
     )
     return ExperimentOutput(
         experiment_id="ablation_ratio",
         title="DRAM:NVM ratio sweep",
         text=text,
-        data={"grid": data, "averages": dict(zip(fractions, averages))},
+        data={"grid": data, "averages": averages},
     )

@@ -9,14 +9,16 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Optional, Sequence
 
-from repro.analysis import SpeedupGrid, render_table
+from repro.analysis import render_table
 from repro.config import SystemConfig, parse_label
 from repro.experiments.base import (
     DEFAULT_REQUESTS,
     ExperimentOutput,
     base_system,
+    grid_jobs,
     suite,
 )
+from repro.runner import get_runner
 from repro.units import ns
 from repro.workloads import WorkloadSpec
 
@@ -30,22 +32,15 @@ def run(
     base_config: Optional[SystemConfig] = None,
 ) -> ExperimentOutput:
     base = base_system(base_config)
-
-    def config_fn(label: str) -> SystemConfig:
-        topo_label, _, serdes = label.partition("|")
-        config = parse_label(topo_label, base)
-        if serdes:
-            config = config.with_(
-                link=replace(config.link, serdes_latency_ps=ns(float(serdes)))
+    specs = suite(workloads)
+    configs = {}
+    for topo in TOPOLOGIES:
+        config = parse_label(topo, base)
+        for serdes in SERDES_NS:
+            configs[topo, serdes] = config.with_(
+                link=replace(config.link, serdes_latency_ps=ns(serdes))
             )
-        return config
-
-    grid = SpeedupGrid(
-        suite(workloads), requests=requests, base_config=base, config_fn=config_fn
-    )
-    grid.prefetch(
-        [f"{topo}|{serdes}" for topo in TOPOLOGIES for serdes in SERDES_NS]
-    )
+    results = get_runner().run_keyed(grid_jobs(configs, specs, requests))
     rows = []
     data: Dict[str, Dict[float, float]] = {}
     for topo in TOPOLOGIES:
@@ -53,10 +48,7 @@ def run(
         baseline = None
         row = [topo]
         for serdes in SERDES_NS:
-            totals = [
-                grid.result(f"{topo}|{serdes}", w).runtime_ps
-                for w in grid.workloads
-            ]
+            totals = [results[(topo, serdes), w.name].runtime_ps for w in specs]
             mean_runtime = sum(totals) / len(totals)
             if baseline is None:
                 baseline = mean_runtime

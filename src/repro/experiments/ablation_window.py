@@ -11,17 +11,20 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.analysis import SpeedupGrid, render_table
-from repro.config import SystemConfig
+from repro.analysis import render_table, speedups
+from repro.config import SystemConfig, parse_label
 from repro.experiments.base import (
     DEFAULT_REQUESTS,
     ExperimentOutput,
     base_system,
     suite,
 )
+from repro.runner import SimJob, get_runner
 from repro.workloads import WorkloadSpec, get_workload
 
 WINDOWS = (8, 16, 32, 64)
+LABELS = ("100%-T", "100%-MC")
+BASELINE = "100%-C"
 
 
 def run(
@@ -32,20 +35,21 @@ def run(
     base = base_system(base_config)
     workload = (suite(workloads) or [get_workload("KMEANS")])[0]
 
-    grid_data: Dict[int, Dict[str, float]] = {}
-    rows = []
-    for window in WINDOWS:
-        spec = workload.with_(mlp=window)
-        grid = SpeedupGrid([spec], requests=requests, base_config=base)
-        speedups = grid.speedups(["100%-T", "100%-MC"], "100%-C")[spec.name]
-        grid_data[window] = speedups
-        rows.append(
-            [
-                f"mlp={window}",
-                f"{speedups['100%-T']:+.1f}%",
-                f"{speedups['100%-MC']:+.1f}%",
-            ]
+    jobs = {
+        (label, window): SimJob(
+            parse_label(label, base), workload.with_(mlp=window), requests
         )
+        for window in WINDOWS
+        for label in LABELS + (BASELINE,)
+    }
+    results = get_runner().run_keyed(jobs)
+    grid_data: Dict[int, Dict[str, float]] = speedups(
+        results, WINDOWS, LABELS, BASELINE
+    )
+    rows = [
+        [f"mlp={window}"] + [f"{row[label]:+.1f}%" for label in LABELS]
+        for window, row in grid_data.items()
+    ]
     text = render_table(
         ["window", "tree vs chain", "metacube vs chain"],
         rows,

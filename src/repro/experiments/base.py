@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
+from repro.runner import SimJob
 from repro.workloads import PAPER_SUITE, WorkloadSpec
 
 DEFAULT_REQUESTS = 2000
@@ -133,3 +134,16 @@ def suite(workloads: Optional[Sequence[WorkloadSpec]] = None) -> List[WorkloadSp
 
 def base_system(config: Optional[SystemConfig] = None) -> SystemConfig:
     return config if config is not None else SystemConfig()
+
+
+def grid_jobs(
+    configs: Mapping[Hashable, SystemConfig],
+    workloads: Sequence[WorkloadSpec],
+    requests: int,
+) -> Dict[Tuple[Hashable, str], SimJob]:
+    """Every config on every workload, keyed ``(config key, workload name)``."""
+    return {
+        (key, workload.name): SimJob(config, workload, requests)
+        for workload in workloads
+        for key, config in configs.items()
+    }

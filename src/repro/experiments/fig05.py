@@ -18,16 +18,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis import SpeedupGrid, render_table
-from repro.config import SystemConfig
+from repro.analysis import render_table
+from repro.config import SystemConfig, parse_label
 from repro.experiments.base import (
     DEFAULT_REQUESTS,
     ExperimentOutput,
     base_system,
+    grid_jobs,
     suite,
 )
 from repro.obs.attribution import segment_table_rows, three_way_ns
 from repro.results import SimResult
+from repro.runner import get_runner
 from repro.sim.stats import Histogram
 from repro.workloads import WorkloadSpec
 
@@ -54,16 +56,17 @@ def run(
     base_config: Optional[SystemConfig] = None,
 ) -> ExperimentOutput:
     base = base_system(base_config).with_obs(attribution=True)
-    grid = SpeedupGrid(suite(workloads), requests=requests, base_config=base)
-    grid.prefetch(LABELS)
+    specs = suite(workloads)
+    configs = {label: parse_label(label, base) for label in LABELS}
+    results = get_runner().run_keyed(grid_jobs(configs, specs, requests))
     rows: List[List[object]] = []
     data: Dict[str, Dict[str, Dict[str, float]]] = {}
     per_label: Dict[str, List[SimResult]] = {label: [] for label in LABELS}
-    for workload in grid.workloads:
-        results = [grid.result(label, workload) for label in LABELS]
-        chain_total = results[0].collector.all.total_ns or 1.0
+    for workload in specs:
+        row_results = [results[label, workload.name] for label in LABELS]
+        chain_total = row_results[0].collector.all.total_ns or 1.0
         data[workload.name] = {}
-        for result in results:
+        for result in row_results:
             per_label[result.config_label].append(result)
             split = three_way_ns(result.collector.segments, result.transactions)
             total_ns = sum(split.values())

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.analysis import SpeedupGrid
-from repro.config import SystemConfig
+from repro.analysis import column_means, render_speedups, speedups
+from repro.config import SystemConfig, parse_label
 from repro.experiments.base import (
     DEFAULT_REQUESTS,
     ExperimentOutput,
     base_system,
+    grid_jobs,
     suite,
 )
+from repro.runner import get_runner
 from repro.workloads import WorkloadSpec
 
 LABELS = ["100%-T", "50%-T (NVM-L)", "50%-T (NVM-F)", "0%-T"]
@@ -29,21 +31,22 @@ def run(
     workloads: Optional[Sequence[WorkloadSpec]] = None,
     base_config: Optional[SystemConfig] = None,
 ) -> ExperimentOutput:
-    grid = SpeedupGrid(
-        suite(workloads), requests=requests, base_config=base_system(base_config)
-    )
-    speedups = grid.speedups(LABELS, BASELINE)
-    averages = grid.averages(speedups, LABELS)
-    text = grid.render(
-        LABELS,
-        BASELINE,
+    base = base_system(base_config)
+    specs = suite(workloads)
+    configs = {label: parse_label(label, base) for label in LABELS + [BASELINE]}
+    results = get_runner().run_keyed(grid_jobs(configs, specs, requests))
+    grid = speedups(results, [w.name for w in specs], LABELS, BASELINE)
+    averages = column_means(grid, LABELS)
+    text = render_speedups(
+        grid,
+        averages,
         title="Fig 7: tree topology with DRAM:NVM ratios, vs 100% chain",
     )
     return ExperimentOutput(
         experiment_id="fig07",
         title="Tree-based topology with different ratios of DRAM to NVM",
         text=text,
-        data={"speedups": speedups, "averages": averages},
+        data={"speedups": grid, "averages": averages},
         notes=(
             "Expected shape (paper): some NVM is beneficial (50% mixes "
             "competitive with 100% DRAM thanks to the smaller network); "

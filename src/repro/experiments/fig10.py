@@ -15,15 +15,17 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.analysis import SpeedupGrid, render_table
+from repro.analysis import column_means, render_speedups
 from repro.config import ARBITER_DISTANCE, SystemConfig, parse_label
 from repro.experiments.base import (
     BASELINE_CONFIGS,
     DEFAULT_REQUESTS,
     ExperimentOutput,
     base_system,
+    grid_jobs,
     suite,
 )
+from repro.runner import get_runner
 from repro.workloads import WorkloadSpec
 
 
@@ -33,42 +35,28 @@ def run(
     base_config: Optional[SystemConfig] = None,
 ) -> ExperimentOutput:
     base = base_system(base_config)
-
-    def config_fn(label: str) -> SystemConfig:
-        if label.endswith("+DA"):
-            return parse_label(label[: -len("+DA")], base).with_(
-                arbiter=ARBITER_DISTANCE
-            )
-        return parse_label(label, base)
-
-    grid = SpeedupGrid(
-        suite(workloads), requests=requests, base_config=base, config_fn=config_fn
-    )
-    grid.prefetch(
-        BASELINE_CONFIGS + [label + "+DA" for label in BASELINE_CONFIGS]
-    )
-    data: Dict[str, Dict[str, float]] = {}
-    rows = []
-    for workload in grid.workloads:
-        row = [workload.name]
-        data[workload.name] = {}
-        for label in BASELINE_CONFIGS:
-            rr = grid.result(label, workload)
-            da = grid.result(label + "+DA", workload)
-            delta = da.speedup_over(rr) * 100.0
-            data[workload.name][label] = delta
-            row.append(f"{delta:+.1f}%")
-        rows.append(row)
-    averages = {
-        label: sum(data[w][label] for w in data) / len(data)
+    specs = suite(workloads)
+    reference = base.arbiter  # round-robin unless the base overrides it
+    configs = {
+        (label, arbiter): parse_label(label, base).with_(arbiter=arbiter)
         for label in BASELINE_CONFIGS
+        for arbiter in (reference, ARBITER_DISTANCE)
     }
-    rows.append(
-        ["average"] + [f"{averages[label]:+.1f}%" for label in BASELINE_CONFIGS]
-    )
-    text = render_table(
-        ["workload"] + BASELINE_CONFIGS,
-        rows,
+    results = get_runner().run_keyed(grid_jobs(configs, specs, requests))
+    data: Dict[str, Dict[str, float]] = {
+        w.name: {
+            label: results[(label, ARBITER_DISTANCE), w.name].speedup_over(
+                results[(label, reference), w.name]
+            )
+            * 100.0
+            for label in BASELINE_CONFIGS
+        }
+        for w in specs
+    }
+    averages = column_means(data, BASELINE_CONFIGS)
+    text = render_speedups(
+        data,
+        averages,
         title="Fig 10: speedup of distance-based arbitration over round-robin",
     )
     return ExperimentOutput(

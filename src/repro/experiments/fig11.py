@@ -12,16 +12,18 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.analysis import SpeedupGrid
-from repro.config import SystemConfig
+from repro.analysis import column_means, render_speedups, speedups
+from repro.config import SystemConfig, parse_label
 from repro.experiments.base import (
     DEFAULT_REQUESTS,
     NORMALIZATION_BASELINE,
     PROPOSED_CONFIGS,
     ExperimentOutput,
     base_system,
+    grid_jobs,
     suite,
 )
+from repro.runner import get_runner
 from repro.workloads import WorkloadSpec
 
 
@@ -30,14 +32,20 @@ def run(
     workloads: Optional[Sequence[WorkloadSpec]] = None,
     base_config: Optional[SystemConfig] = None,
 ) -> ExperimentOutput:
-    grid = SpeedupGrid(
-        suite(workloads), requests=requests, base_config=base_system(base_config)
+    base = base_system(base_config)
+    specs = suite(workloads)
+    configs = {
+        label: parse_label(label, base)
+        for label in PROPOSED_CONFIGS + [NORMALIZATION_BASELINE]
+    }
+    results = get_runner().run_keyed(grid_jobs(configs, specs, requests))
+    grid = speedups(
+        results, [w.name for w in specs], PROPOSED_CONFIGS, NORMALIZATION_BASELINE
     )
-    speedups = grid.speedups(PROPOSED_CONFIGS, NORMALIZATION_BASELINE)
-    averages = grid.averages(speedups, PROPOSED_CONFIGS)
-    text = grid.render(
-        PROPOSED_CONFIGS,
-        NORMALIZATION_BASELINE,
+    averages = column_means(grid, PROPOSED_CONFIGS)
+    text = render_speedups(
+        grid,
+        averages,
         title=(
             "Fig 11: Tree vs SkipList vs MetaCube (round-robin arbitration), "
             "vs 100% chain"
@@ -47,7 +55,7 @@ def run(
         experiment_id="fig11",
         title="Skip-list and MetaCube topologies vs the tree",
         text=text,
-        data={"speedups": speedups, "averages": averages},
+        data={"speedups": grid, "averages": averages},
         notes=(
             "Expected shape (paper): MetaCube best overall; skip-list close "
             "to tree (ahead for write-heavy workloads); 100%-MC beats the "

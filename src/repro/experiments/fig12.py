@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from repro.analysis import SpeedupGrid
+from repro.analysis import column_means, render_speedups, speedups
 from repro.config import (
     ARBITER_DISTANCE_ENHANCED,
     TOPOLOGY_SKIPLIST,
@@ -29,8 +29,10 @@ from repro.experiments.base import (
     PROPOSED_CONFIGS,
     ExperimentOutput,
     base_system,
+    grid_jobs,
     suite,
 )
+from repro.runner import get_runner
 from repro.workloads import WorkloadSpec
 
 
@@ -58,17 +60,19 @@ def run(
     base_config: Optional[SystemConfig] = None,
 ) -> ExperimentOutput:
     base = base_system(base_config)
-    grid = SpeedupGrid(
-        suite(workloads),
-        requests=requests,
-        base_config=base,
-        config_fn=lambda label: combined_config(label, base),
+    specs = suite(workloads)
+    configs = {
+        label: combined_config(label, base)
+        for label in PROPOSED_CONFIGS + [NORMALIZATION_BASELINE]
+    }
+    results = get_runner().run_keyed(grid_jobs(configs, specs, requests))
+    grid = speedups(
+        results, [w.name for w in specs], PROPOSED_CONFIGS, NORMALIZATION_BASELINE
     )
-    speedups = grid.speedups(PROPOSED_CONFIGS, NORMALIZATION_BASELINE)
-    averages = grid.averages(speedups, PROPOSED_CONFIGS)
-    text = grid.render(
-        PROPOSED_CONFIGS,
-        NORMALIZATION_BASELINE,
+    averages = column_means(grid, PROPOSED_CONFIGS)
+    text = render_speedups(
+        grid,
+        averages,
         title=(
             "Fig 12: all techniques combined (enhanced distance arbitration), "
             "vs 100% chain"
@@ -78,7 +82,7 @@ def run(
         experiment_id="fig12",
         title="All proposed techniques combined",
         text=text,
-        data={"speedups": speedups, "averages": averages},
+        data={"speedups": grid, "averages": averages},
         notes=(
             "Expected shape (paper): better than the Fig 11 equivalents on "
             "average, with the skip-list improving the most (write "

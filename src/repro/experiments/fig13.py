@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Optional, Sequence
 
-from repro.analysis import render_table
+from repro.analysis import column_means, render_speedups
 from repro.config import SystemConfig, parse_label
 from repro.experiments.base import (
     DEFAULT_REQUESTS,
@@ -37,42 +37,36 @@ def run(
 ) -> ExperimentOutput:
     base = base_system(base_config)
     specs = suite(workloads)
-    # One batch of (8-port, 4-port) pairs so the runner can parallelize
-    # and memoize across figures.  Half the ports -> each must retire
-    # twice the requests for the same total system work (the per-port
-    # rate scales inside the workload generator).
-    batch = []
+    # Half the ports -> each must retire twice the requests for the
+    # same total system work (the per-port rate scales inside the
+    # workload generator).
+    jobs = {}
     for workload in specs:
         for label in LABELS:
-            eight_config = parse_label(label, base)
-            four_config = eight_config.with_(
-                host=replace(eight_config.host, num_ports=4)
+            config = parse_label(label, base)
+            halved = config.with_(host=replace(config.host, num_ports=4))
+            jobs[label, 8, workload.name] = SimJob(config, workload, requests)
+            jobs[label, 4, workload.name] = SimJob(halved, workload, 2 * requests)
+    results = get_runner().run_keyed(jobs)
+    # The 8-port system serves `requests` per port in its runtime;
+    # serving 2x requests at the same per-port throughput would take 2x
+    # that, hence the factor.
+    data: Dict[str, Dict[str, float]] = {
+        w.name: {
+            label: (
+                results[label, 8, w.name].runtime_ps * 2
+                / results[label, 4, w.name].runtime_ps
+                - 1.0
             )
-            batch.append(SimJob(eight_config, workload, requests))
-            batch.append(SimJob(four_config, workload, 2 * requests))
-    results = iter(get_runner().run(batch))
-    data: Dict[str, Dict[str, float]] = {}
-    rows = []
-    for workload in specs:
-        row = [workload.name]
-        data[workload.name] = {}
-        for label in LABELS:
-            eight = next(results)
-            four = next(results)
-            delta = (eight.runtime_ps * 2 / four.runtime_ps - 1.0) * 100.0
-            # note: the 8-port system would take eight.runtime_ps to
-            # serve `requests` per port; serving 2x requests at the same
-            # per-port throughput would take 2x that, hence the factor.
-            data[workload.name][label] = delta
-            row.append(f"{delta:+.1f}%")
-        rows.append(row)
-    averages = {
-        label: sum(data[w][label] for w in data) / len(data) for label in LABELS
+            * 100.0
+            for label in LABELS
+        }
+        for w in specs
     }
-    rows.append(["average"] + [f"{averages[label]:+.1f}%" for label in LABELS])
-    text = render_table(
-        ["workload"] + LABELS,
-        rows,
+    averages = column_means(data, LABELS)
+    text = render_speedups(
+        data,
+        averages,
         title=(
             "Fig 13: speedup of a 4-port system over the 8-port baseline "
             "(2 TB, equal total work)"

@@ -14,14 +14,16 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.analysis import SpeedupGrid, render_table
+from repro.analysis import render_table
 from repro.config import SystemConfig, parse_label
 from repro.experiments.base import (
     DEFAULT_REQUESTS,
     ExperimentOutput,
     base_system,
+    grid_jobs,
     suite,
 )
+from repro.runner import get_runner
 from repro.workloads import WorkloadSpec
 
 # The Fig 14 x-axis: five topologies for 100% and both 50% placements,
@@ -41,25 +43,21 @@ def run(
     base_config: Optional[SystemConfig] = None,
 ) -> ExperimentOutput:
     base = base_system(base_config)
-
-    def config_fn(label: str) -> SystemConfig:
-        if label.endswith("@1TB"):
-            return parse_label(label[: -len("@1TB")], base).with_(
-                capacity_scale=0.5
-            )
-        return parse_label(label, base)
-
-    grid = SpeedupGrid(
-        suite(workloads), requests=requests, base_config=base, config_fn=config_fn
-    )
-    grid.prefetch(LABELS + [label + "@1TB" for label in LABELS])
+    specs = suite(workloads)
+    configs = {}
+    for label in LABELS:
+        configs[label, "2TB"] = parse_label(label, base)
+        configs[label, "1TB"] = configs[label, "2TB"].with_(capacity_scale=0.5)
+    results = get_runner().run_keyed(grid_jobs(configs, specs, requests))
     averages: Dict[str, float] = {}
     for label in LABELS:
-        deltas = []
-        for workload in grid.workloads:
-            two_tb = grid.result(label, workload)
-            one_tb = grid.result(label + "@1TB", workload)
-            deltas.append(one_tb.speedup_over(two_tb) * 100.0)
+        deltas = [
+            results[(label, "1TB"), w.name].speedup_over(
+                results[(label, "2TB"), w.name]
+            )
+            * 100.0
+            for w in specs
+        ]
         averages[label] = sum(deltas) / len(deltas)
     rows = [[label, f"{averages[label]:+.2f}%"] for label in LABELS]
     text = render_table(

@@ -16,14 +16,16 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.analysis import SpeedupGrid, render_table
-from repro.config import SystemConfig
+from repro.analysis import render_table
+from repro.config import SystemConfig, parse_label
 from repro.experiments.base import (
     DEFAULT_REQUESTS,
     ExperimentOutput,
     base_system,
+    grid_jobs,
     suite,
 )
+from repro.runner import get_runner
 from repro.workloads import WorkloadSpec
 
 LABELS = [
@@ -46,20 +48,20 @@ def run(
     workloads: Optional[Sequence[WorkloadSpec]] = None,
     base_config: Optional[SystemConfig] = None,
 ) -> ExperimentOutput:
-    grid = SpeedupGrid(
-        suite(workloads), requests=requests, base_config=base_system(base_config)
-    )
-    grid.prefetch(LABELS)
+    base = base_system(base_config)
+    specs = suite(workloads)
+    configs = {label: parse_label(label, base) for label in LABELS}
+    results = get_runner().run_keyed(grid_jobs(configs, specs, requests))
     totals: Dict[str, Dict[str, float]] = {
         label: {"network": 0.0, "read": 0.0, "write": 0.0} for label in LABELS
     }
-    for workload in grid.workloads:
+    for workload in specs:
         for label in LABELS:
-            energy = grid.result(label, workload).energy
+            energy = results[label, workload.name].energy
             totals[label]["network"] += energy.network_pj + energy.interposer_pj
             totals[label]["read"] += energy.memory_read_pj
             totals[label]["write"] += energy.memory_write_pj
-    count = len(grid.workloads)
+    count = len(specs)
     for label in LABELS:
         for key in totals[label]:
             totals[label][key] /= count

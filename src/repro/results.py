@@ -93,15 +93,6 @@ class LatencyBreakdown:
     def total_ns(self) -> float:
         return self.to_memory_ns + self.in_memory_ns + self.from_memory_ns
 
-    def fractions(self) -> Dict[str, float]:
-        total = self.total_ns or 1.0
-        return {
-            "to_memory": self.to_memory_ns / total,
-            "in_memory": self.in_memory_ns / total,
-            "from_memory": self.from_memory_ns / total,
-        }
-
-
 class TransactionCollector:
     """Streams completed transactions into aggregate statistics.
 

@@ -38,12 +38,15 @@ process.  Both are thin wrappers over one resolution loop
 (:meth:`ParallelRunner._resolve`) that differ only in what they do
 with each delivered result.
 
+``run_keyed`` is ``run`` over a ``{key: job}`` mapping: the one way an
+experiment or a :class:`repro.sweep.Sweep` batches its simulations.
+
 A module-level *ambient* runner lets high-level entry points
-(:func:`repro.system.simulate`, :class:`repro.sweep.Sweep`,
-:class:`repro.analysis.speedup.SpeedupGrid`) share one cache and one
-worker-count policy without threading a runner argument everywhere.
-The experiments CLI configures it from ``--jobs`` / ``--cache-dir`` /
-``--no-cache``; ``REPRO_JOBS`` is the environment override.
+(:func:`repro.system.simulate`, sweeps, the experiments) share one
+cache and one worker-count policy without threading a runner argument
+everywhere.  The experiments CLI configures it from ``--jobs`` /
+``--cache-dir`` / ``--no-cache``; ``REPRO_JOBS`` is the environment
+override.
 """
 
 from __future__ import annotations
@@ -56,12 +59,14 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, TypeVar, Union
 
 from repro.errors import RunnerError
 from repro.results import SimResult
 from repro.runner.cache import ResultCache
 from repro.runner.job import SimJob
+
+K = TypeVar("K")
 
 #: Environment override for the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -245,6 +250,20 @@ class ParallelRunner:
             if failure is not None:
                 out[index] = failure
         return out  # type: ignore[return-value]
+
+    def run_keyed(
+        self,
+        jobs: Mapping[K, SimJob],
+        on_error: str = "raise",
+    ) -> Dict[K, Union[SimResult, JobFailure]]:
+        """Execute ``{key: job}`` as one batch; returns ``{key: result}``.
+
+        How experiments run their simulations: keys are whatever names
+        a point natively (``("100%-T", 256)``, ``(leg, factor)``), keys
+        that share a job share its result object, and ``on_error``
+        works as in :meth:`run`.
+        """
+        return dict(zip(jobs, self.run(list(jobs.values()), on_error)))
 
     def run_fold(
         self,

@@ -286,20 +286,3 @@ def load_results(path: Union[str, Path]) -> List[Dict[str, object]]:
     if not isinstance(payload, list):
         raise ValueError(f"{path}: expected a JSON array of results")
     return payload
-
-
-def compare_summary(
-    baseline: Dict[str, object], candidate: Dict[str, object]
-) -> Dict[str, float]:
-    """Headline deltas between two saved results (same workload)."""
-    if baseline["workload"] != candidate["workload"]:
-        raise ValueError("results compare different workloads")
-    speedup = baseline["runtime_ps"] / candidate["runtime_ps"] - 1.0
-    base_energy = baseline["energy_pj"]["total"] or 1.0
-    return {
-        "speedup_percent": speedup * 100.0,
-        "latency_delta_ns": (
-            candidate["latency"]["total_ns"] - baseline["latency"]["total_ns"]
-        ),
-        "energy_ratio": candidate["energy_pj"]["total"] / base_energy,
-    }

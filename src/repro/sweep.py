@@ -89,8 +89,7 @@ class Sweep:
         worker processes (``using_runner(ParallelRunner(jobs=N))``).
         """
         rows: List[Dict[str, Any]] = []
-        batch: List[SimJob] = []
-        slots: List[Dict[str, Any]] = []  # rows awaiting their result
+        jobs: Dict[int, SimJob] = {}  # row index -> its job
         for point in self.points():
             try:
                 config = self.config_for(point)
@@ -100,15 +99,12 @@ class Sweep:
                     continue
                 rows.append(dict(point, error=str(error)))
                 continue
-            row = dict(point)
-            rows.append(row)
-            slots.append(row)
-            batch.append(
-                SimJob(config=config, workload=self.workload, requests=self.requests)
-            )
+            jobs[len(rows)] = SimJob(config, self.workload, self.requests)
+            rows.append(dict(point))
         # collect mode: a crashed or timed-out point becomes an error row
         # instead of losing the rest of the sweep.
-        for row, result in zip(slots, get_runner().run(batch, on_error="collect")):
+        for index, result in get_runner().run_keyed(jobs, on_error="collect").items():
+            row = rows[index]
             if isinstance(result, JobFailure):
                 row["error"] = f"{result.kind}: {result.error}"
             else:

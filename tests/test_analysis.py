@@ -1,8 +1,9 @@
-"""Tests for analysis helpers: tables, speedup grids, breakdowns."""
+"""Tests for analysis helpers: tables and speedup grids over a keyed batch."""
 
 import pytest
 
-from repro.analysis import SpeedupGrid, breakdown_rows, format_percent, render_table
+from repro.analysis import column_means, render_speedups, render_table, speedups
+from repro.runner import JobFailure, ParallelRunner, SimJob
 
 from conftest import fast_workload, small_config
 
@@ -30,62 +31,70 @@ class TestRenderTable:
         assert rows[0].endswith("  5")
         assert rows[1].endswith("500")
 
-    def test_format_percent(self):
-        assert format_percent(12.34) == "12.3%"
-        assert format_percent(-4.0, digits=0) == "-4%"
+
+def _job(topology="chain", requests=200, **overrides):
+    return SimJob(small_config(topology=topology, **overrides), fast_workload(), requests)
+
+
+class TestKeyedBatch:
+    def test_shared_job_shares_result(self):
+        runner = ParallelRunner(jobs=1)
+        results = runner.run_keyed({"a": _job(), "b": _job(), "c": _job("tree")})
+        assert list(results) == ["a", "b", "c"]
+        assert results["a"] is results["b"]
+        assert results["a"] is not results["c"]
+        assert runner.simulations_run == 2
+
+    def test_simulations_run_counts_distinct_digests(self):
+        runner = ParallelRunner(jobs=1)
+        jobs = {
+            (topology, seed, copy): _job(topology, requests=60, seed=seed)
+            for topology in ("chain", "ring")
+            for seed in (1, 2)
+            for copy in range(3)
+        }
+        runner.run_keyed(jobs)
+        distinct = {job.digest() for job in jobs.values()}
+        assert runner.simulations_run == len(distinct) == 4
+        runner.run_keyed(jobs)  # a warm batch simulates nothing
+        assert runner.simulations_run == 4
+
+    def test_collect_puts_failure_under_its_key(self):
+        # A chain cannot tolerate a removed edge: its build raises.
+        broken = _job(requests=60, failed_links=((2, 3),))
+        results = ParallelRunner(jobs=1).run_keyed(
+            {"good": _job(requests=60), "broken": broken}, on_error="collect"
+        )
+        assert not isinstance(results["good"], JobFailure)
+        failure = results["broken"]
+        assert isinstance(failure, JobFailure)
+        assert failure.digest == broken.digest()
+        assert "TopologyError" in failure.error
 
 
 class TestSpeedupGrid:
     @pytest.fixture(scope="class")
-    def grid(self):
-        return SpeedupGrid(
-            [fast_workload()], requests=200, base_config=small_config()
-        )
+    def results(self):
+        jobs = {
+            (label, "TEST"): _job(topology)
+            for label, topology in (("100%-C", "chain"), ("100%-T", "tree"))
+        }
+        return ParallelRunner(jobs=1).run_keyed(jobs)
 
-    def test_results_cached(self, grid):
-        first = grid.result("100%-C", grid.workloads[0])
-        second = grid.result("100%-C", grid.workloads[0])
-        assert first is second
+    def test_baseline_speedup_is_zero(self, results):
+        grid = speedups(results, ["TEST"], ["100%-C"], "100%-C")
+        assert grid == {"TEST": {"100%-C": 0.0}}
 
-    def test_baseline_speedup_is_zero(self, grid):
-        speedups = grid.speedups(["100%-C"], "100%-C")
-        assert speedups["TEST"]["100%-C"] == pytest.approx(0.0)
+    def test_tree_has_nonnegative_speedup(self, results):
+        grid = speedups(results, ["TEST"], ["100%-T"], "100%-C")
+        assert grid["TEST"]["100%-T"] > -5.0
 
-    def test_tree_has_nonnegative_speedup(self, grid):
-        speedups = grid.speedups(["100%-T"], "100%-C")
-        assert speedups["TEST"]["100%-T"] > -5.0
+    def test_averages(self):
+        grid = {"A": {"x": 10.0}, "B": {"x": 20.0}}
+        assert column_means(grid, ["x"]) == {"x": 15.0}
 
-    def test_averages(self, grid):
-        speedups = {"A": {"x": 10.0}, "B": {"x": 20.0}}
-        assert grid.averages(speedups, ["x"]) == {"x": 15.0}
-
-    def test_render_contains_average_row(self, grid):
-        text = grid.render(["100%-T"], "100%-C")
-        assert "average" in text
-
-    def test_custom_config_fn(self):
-        grid = SpeedupGrid(
-            [fast_workload()],
-            requests=100,
-            config_fn=lambda label: small_config(topology="tree"),
-        )
-        result = grid.result("anything", grid.workloads[0])
-        assert result.config_label == "100%-T"
-
-
-class TestBreakdownRows:
-    def test_rows_and_normalization(self):
-        grid = SpeedupGrid(
-            [fast_workload()], requests=150, base_config=small_config()
-        )
-        results = [
-            grid.result("100%-C", grid.workloads[0]),
-            grid.result("100%-T", grid.workloads[0]),
-        ]
-        rows = breakdown_rows(results, normalize_to="100%-C")
-        assert rows[0]["config"] == "100%-C"
-        assert rows[0]["relative_total"] == pytest.approx(1.0)
-        assert rows[1]["rel_to"] > 0
-        for row in rows:
-            total = row["to_memory_ns"] + row["in_memory_ns"] + row["from_memory_ns"]
-            assert total == pytest.approx(row["total_ns"], rel=1e-6)
+    def test_render_contains_average_row(self, results):
+        grid = speedups(results, ["TEST"], ["100%-T"], "100%-C")
+        text = render_speedups(grid, column_means(grid, ["100%-T"]), title="T")
+        assert text.splitlines()[-1].startswith("average")
+        assert "100%-T" in text.splitlines()[1]

@@ -78,12 +78,6 @@ class TestLatencyBreakdown:
         assert breakdown.to_memory.mean == pytest.approx(150.0)
         assert breakdown.in_memory.mean == pytest.approx(55.0)
 
-    def test_fractions_sum_to_one(self):
-        breakdown = LatencyBreakdown()
-        breakdown.add(finished_txn())
-        fractions = breakdown.fractions()
-        assert sum(fractions.values()) == pytest.approx(1.0)
-
     def test_component_stats_are_histogram_views(self):
         breakdown = LatencyBreakdown()
         breakdown.add(finished_txn())

@@ -6,12 +6,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError, TopologyError
-from repro.serialization import (
-    compare_summary,
-    load_results,
-    result_to_dict,
-    save_results,
-)
+from repro.serialization import load_results, result_to_dict, save_results
 from repro.sweep import Sweep, set_config_field
 from repro.system import MemoryNetworkSystem, simulate
 from repro.topology import build_topology
@@ -119,18 +114,6 @@ class TestSerialization:
         path.write_text("{}")
         with pytest.raises(ValueError):
             load_results(path)
-
-    def test_compare_summary(self, result):
-        base = result_to_dict(result)
-        cand = dict(base, runtime_ps=base["runtime_ps"] * 2)
-        summary = compare_summary(base, cand)
-        assert summary["speedup_percent"] == pytest.approx(-50.0)
-
-    def test_compare_different_workloads_rejected(self, result):
-        base = result_to_dict(result)
-        other = dict(base, workload="OTHER")
-        with pytest.raises(ValueError):
-            compare_summary(base, other)
 
 
 class TestFaultInjection:

@@ -11,7 +11,6 @@ from repro.analysis.network_stats import (
     link_stats,
     render_cube_report,
     render_link_report,
-    underutilized_links,
 )
 from repro.experiments.base import ExperimentOutput
 from repro.system import MemoryNetworkSystem
@@ -78,10 +77,6 @@ class TestNetworkStats:
         stats = cube_stats(finished_system)
         assert sum(s.accesses for s in stats) == 300
         assert all(s.tech == "DRAM" for s in stats)
-
-    def test_underutilized_links_detects_leaf_links(self, finished_system):
-        # leaf links in a tree see only their own cube's traffic
-        assert underutilized_links(finished_system, threshold=0.9)
 
     def test_reports_render(self, finished_system):
         assert "utilization" in render_link_report(finished_system)
