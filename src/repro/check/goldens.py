@@ -24,7 +24,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import VALID_ARBITERS, SystemConfig
-from repro.runner.job import canonical_tree, digest_tree
+from repro.runner.job import digest_tree
 from repro.serialization import result_digest
 from repro.units import GIB_BYTES
 from repro.workloads import WorkloadSpec
@@ -326,13 +326,12 @@ def compute_experiments(
         if only is not None and experiment_id not in only:
             continue
         output = run(requests=requests, workloads=workloads)
-        tree = canonical_tree(output.data)
         out[experiment_id] = {
             "digest": digest_tree({
                 "experiment": experiment_id,
                 "requests": requests,
                 "workloads": list(workload_names),
-                "data": tree,
+                "data": output.data,
             }),
             "series_rows": len(output.series()),
         }

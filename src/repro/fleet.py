@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.results import SimResult
-from repro.runner.job import SimJob, canonical_tree, digest_tree
+from repro.runner.job import SimJob, digest_tree
 from repro.sim.random import derive_seed
 from repro.sim.stats import CounterBag, TailAccumulator
 from repro.units import to_ns
@@ -192,12 +192,7 @@ class FleetConfig:
 
     def digest(self) -> str:
         """Stable content digest over the whole fleet tree."""
-        return digest_tree(
-            {
-                "version": FLEET_DIGEST_VERSION,
-                "fleet": canonical_tree(self),
-            }
-        )
+        return digest_tree({"version": FLEET_DIGEST_VERSION, "fleet": self})
 
     def with_(self, **changes) -> "FleetConfig":
         return replace(self, **changes)

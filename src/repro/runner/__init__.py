@@ -16,7 +16,7 @@ See ``docs/performance.md`` for usage and cache layout.
 """
 
 from repro.runner.cache import CACHE_DIR_ENV, ResultCache, default_cache_dir
-from repro.runner.job import SimJob, canonical_tree, digest_tree
+from repro.runner.job import SimJob, canonical_json, canonical_tree, digest_tree
 from repro.runner.pool import (
     JOBS_ENV,
     JobFailure,
@@ -36,6 +36,7 @@ __all__ = [
     "ParallelRunner",
     "ResultCache",
     "SimJob",
+    "canonical_json",
     "canonical_tree",
     "configure_runner",
     "default_cache_dir",

@@ -51,6 +51,13 @@ class ResultCache:
     def __init__(self, cache_dir: Optional[Union[str, Path]] = None) -> None:
         self._memory: Dict[str, SimResult] = {}
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        # Entry paths are plain strings: a warm replay looks up every
+        # shard's entry, and pathlib would build three objects for each.
+        self._root = (
+            None
+            if cache_dir is None
+            else os.path.join(cache_dir, f"v{RESULT_STATE_VERSION}") + os.sep
+        )
         # instrumentation (reported by the experiments CLI / benchmarks)
         self.memory_hits = 0
         self.disk_hits = 0
@@ -70,17 +77,12 @@ class ResultCache:
         return len(self._memory)
 
     def __contains__(self, digest: str) -> bool:
-        return digest in self._memory or self._path(digest).is_file()
+        return digest in self._memory or os.path.isfile(self._path(digest))
 
-    def _path(self, digest: str) -> Path:
-        if self.cache_dir is None:
-            return Path(os.devnull)
-        return (
-            self.cache_dir
-            / f"v{RESULT_STATE_VERSION}"
-            / digest[:2]
-            / f"{digest}.json"
-        )
+    def _path(self, digest: str) -> str:
+        if self._root is None:
+            return os.devnull
+        return self._root + digest[:2] + os.sep + digest + ".json"
 
     # ------------------------------------------------------------------
     def get(self, digest: str) -> Optional[SimResult]:
@@ -89,17 +91,18 @@ class ResultCache:
         if result is not None:
             self.memory_hits += 1
             return result
-        if self.cache_dir is not None:
+        if self._root is not None:
             path = self._path(digest)
             try:
-                state = json.loads(path.read_text())
+                with open(path, encoding="utf-8") as handle:
+                    state = json.load(handle)
                 result = result_from_state(state)
             except FileNotFoundError:
                 pass
             except (ValueError, KeyError, TypeError, OSError):
                 # Corrupt or stale entry: drop it and re-simulate.
                 try:
-                    path.unlink()
+                    os.unlink(path)
                 except OSError:
                     pass
             else:
@@ -113,13 +116,14 @@ class ResultCache:
         """Store a result in memory and (if configured) on disk."""
         self._memory[digest] = result
         self.stores += 1
-        if self.cache_dir is None:
+        if self._root is None:
             return
         path = self._path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
         payload = json.dumps(result_to_state(result), separators=(",", ":"))
         # Atomic write so a crashed run never leaves a truncated entry.
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(payload)

@@ -100,8 +100,10 @@ def _stat_to_state(stat: RunningStat) -> Dict[str, object]:
 def _stat_from_state(state: Dict[str, object]) -> RunningStat:
     # Values are passed through verbatim: JSON preserves the int/float
     # distinction, and coercing here would make a round-tripped result
-    # hash differently from the freshly computed one.
-    stat = RunningStat()
+    # hash differently from the freshly computed one.  Every decoder
+    # below fills a bare instance, so no default part is built and then
+    # thrown away.
+    stat = RunningStat.__new__(RunningStat)
     stat.count = state["count"]
     stat._mean = state["mean"]
     stat._m2 = state["m2"]
@@ -125,9 +127,24 @@ def _hist_to_state(hist: Histogram) -> Dict[str, object]:
 
 
 def _hist_from_state(state: Dict[str, object]) -> Histogram:
-    hist = Histogram(state["bucket_width"], state["num_buckets"])
-    for index, n in state["buckets"]:
-        hist.buckets[index] = n
+    width = state["bucket_width"]
+    size = state["num_buckets"]
+    if not (width > 0 and size > 0):
+        raise ValueError("bucket_width and num_buckets must be positive")
+    buckets = [0] * size
+    try:
+        for index, n in state["buckets"]:
+            # A negative index would silently count from the end.
+            if index < 0:
+                raise ValueError(f"bucket index {index!r} outside [0, {size})")
+            if type(n) is not int or n < 0:
+                raise ValueError(f"bucket count {n!r} is not a non-negative integer")
+            buckets[index] = n
+    except IndexError:
+        raise ValueError(f"a bucket index is outside [0, {size})") from None
+    hist = Histogram.__new__(Histogram)
+    hist.bucket_width = width
+    hist.buckets = buckets
     hist.underflow = state["underflow"]
     hist.overflow = state["overflow"]
     hist.stat = _stat_from_state(state["stat"])
@@ -181,7 +198,7 @@ def _collector_to_state(collector: TransactionCollector) -> Dict[str, object]:
 
 
 def _collector_from_state(state: Dict[str, object]) -> TransactionCollector:
-    collector = TransactionCollector()
+    collector = TransactionCollector.__new__(TransactionCollector)
     collector.reads = state["reads"]
     collector.writes = state["writes"]
     collector.p2p = state["p2p"]

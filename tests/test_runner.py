@@ -21,6 +21,7 @@ from repro.experiments.base import ExperimentOutput
 from repro.fleet import FleetConfig, Tenant, uniform_fleet
 from repro.net.routing import cached_bfs_paths, clear_route_cache
 from repro.ras import FaultPlan
+from repro.results import TransactionCollector
 from repro.runner import (
     ParallelRunner,
     ResultCache,
@@ -35,6 +36,7 @@ from repro.serialization import (
     result_from_state,
     result_to_state,
 )
+from repro.sim.stats import Histogram, RunningStat
 from repro.sweep import Sweep
 from repro.system import MemoryNetworkSystem, simulate
 from repro.units import ns
@@ -264,10 +266,21 @@ class TestResultCache:
         assert reader.disk_hits == 1
         assert result_digest(loaded) == result_digest(result)
 
+    def test_decoded_collector_has_every_attribute(self):
+        # The decoder fills a bare collector instead of overwriting a
+        # default one, so it must set everything __init__ sets.
+        result = execute_job(job())
+        decoded = result_from_state(result_to_state(result))
+        assert vars(decoded.collector).keys() == vars(TransactionCollector()).keys()
+        hist = decoded.collector.all.total_hist
+        assert all(hasattr(hist, name) for name in Histogram.__slots__)
+        assert all(hasattr(hist.stat, name) for name in RunningStat.__slots__)
+        assert decoded.collector.all.total_ns == result.collector.all.total_ns
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("e" * 64, execute_job(job()))
-        path = cache._path("e" * 64)
+        path = Path(cache._path("e" * 64))
         path.write_text("{not json")
         fresh = ResultCache(tmp_path)
         assert fresh.get("e" * 64) is None
@@ -279,7 +292,7 @@ class TestResultCache:
         entry = job()
         ParallelRunner(jobs=1, cache=ResultCache(tmp_path)).run([entry])
         cache = ResultCache(tmp_path)
-        path = cache._path(entry.digest())
+        path = Path(cache._path(entry.digest()))
         path.write_text(payload)
         assert cache.get(entry.digest()) is None
         assert cache.misses == 1
@@ -287,6 +300,30 @@ class TestResultCache:
         runner = ParallelRunner(jobs=1, cache=cache)
         runner.run([entry])
         assert runner.simulations_run == 1
+
+    @pytest.mark.parametrize(
+        "pair",
+        [[1024, 1], [-1, 1], [3, -2], [3, 1.5]],
+        ids=["index-past-end", "negative-index", "negative-count", "float-count"],
+    )
+    def test_bad_bucket_pair_is_a_miss(self, tmp_path, pair):
+        # An out-of-range index used to raise IndexError out of get()
+        # (crashing the run), and a negative one landed in the last
+        # bucket; the decoder now rejects every bad pair as corrupt.
+        cache = ResultCache(tmp_path)
+        cache.put("f" * 64, execute_job(job()))
+        path = Path(cache._path("f" * 64))
+        state = json.loads(path.read_text())
+        hist = state["collector"]["all"]["total_hist"]
+        assert hist["num_buckets"] == 1024
+        hist["buckets"].append(pair)
+        with pytest.raises(ValueError):
+            result_from_state(state)
+        path.write_text(json.dumps(state))
+        fresh = ResultCache(tmp_path)
+        assert fresh.get("f" * 64) is None
+        assert fresh.misses == 1
+        assert not path.exists()
 
     def test_miss_counted(self):
         cache = ResultCache()
