@@ -16,8 +16,8 @@ between rounds, and a ratio of two best rounds taken from different
 moments inherits that drift, while cells of one round run back to
 back.
 
-Results land in ``BENCH_engine.json`` together with the packet-pool
-recycling counters and a timestamped ``trend`` list that accumulates
+Results land in ``BENCH_engine.json`` together with the number of
+packets built and a timestamped ``trend`` list that accumulates
 one entry per benchmark run so regressions are visible across commits.
 Rates keep their ``heap_`` key prefix so new entries line up with the
 earlier ones in the trend.  The CI smoke step asserts a tolerant floor
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
         flush=True,
     )
     round_rates = {label: [] for label, _ in configs}
-    digest = events = pool_stats = None
+    digest = events = packets = None
     for _round in range(args.repeats):
         for obs_label, config in configs:
             rate, result, system = run_cell(args.requests, config)
@@ -144,7 +144,7 @@ def main(argv=None) -> int:
             if obs_label == "off":
                 digest = result_digest(result)
                 events = result.events_processed
-                pool_stats = system.packet_pool.stats()
+                packets = system.packet_pool.acquired
     rates = {
         f"heap_{label}": round(max(per_round))
         for label, per_round in round_rates.items()
@@ -152,11 +152,7 @@ def main(argv=None) -> int:
     for obs_label, _config in configs:
         print(f"  {obs_label:11s}: {rates[f'heap_{obs_label}'] / 1e3:7.0f}k events/s")
     print(f"  result digest    : {digest[:16]} ({events} events)")
-    print(
-        f"  packet pool      : {pool_stats['acquired']} acquired, "
-        f"{pool_stats['recycled']} recycled "
-        f"(freelist {pool_stats['freelist']})"
-    )
+    print(f"  packets built    : {packets}")
 
     def overhead(obs_label: str):
         paired = [
@@ -180,7 +176,7 @@ def main(argv=None) -> int:
         "attribution_overhead": overhead("attribution"),
         "sampled_attribution_overhead": overhead("sampled"),
         "trace_overhead": overhead("traced"),
-        "packet_pool": pool_stats,
+        "packet_pool": {"acquired": packets},
         "trend": (load_trend(output) + [{
             "timestamp": datetime.now(timezone.utc).isoformat(
                 timespec="seconds"

@@ -119,7 +119,6 @@ class InvariantAuditor:
         self._check_routers(out)
         self._check_controllers(out)
         self._check_port(out, final=point == "final")
-        self._check_pool(out)
         self._check_p2p(out)
         self._check_ras(out)
         if point == "final":
@@ -304,54 +303,6 @@ class InvariantAuditor:
                         f"{controller._reserved} reserved > depth "
                         f"{controller.queue_depth}",
                     ))
-
-    def _check_pool(self, out: List[Violation]) -> None:
-        """Packet-pool safety: no freed packet may still be resident.
-
-        The visible resident population is the router input queues plus
-        the controllers' bank queues and response buffers; packets in
-        flight on links or referenced only by scheduled events are live
-        but invisible, so the conservation check is a lower bound.
-        """
-        pool = getattr(self.system, "packet_pool", None)
-        if pool is None:
-            return
-        resident = 0
-        for queue in self._iter_queues():
-            for packet in queue.packets():
-                resident += 1
-                if packet.freed:
-                    out.append((
-                        "pool.use_after_free", queue.name,
-                        f"freed packet #{packet.pid} still queued",
-                    ))
-        for cube in self.system.cubes.values():
-            for controller in cube.controllers:
-                for packet in controller._queue:
-                    resident += 1
-                    if packet.freed:
-                        out.append((
-                            "pool.use_after_free", controller.name,
-                            f"freed packet #{packet.pid} in bank queue",
-                        ))
-                for packet in controller._pending_responses:
-                    resident += 1
-                    if packet.freed:
-                        out.append((
-                            "pool.use_after_free", controller.name,
-                            f"freed packet #{packet.pid} in response buffer",
-                        ))
-        if pool.live < resident:
-            out.append((
-                "pool.conservation", "pool",
-                f"pool live count {pool.live} < {resident} resident "
-                f"packets visible in queues/buffers",
-            ))
-        if pool.released > pool.acquired:
-            out.append((
-                "pool.conservation", "pool",
-                f"released {pool.released} > acquired {pool.acquired}",
-            ))
 
     def _check_port(self, out: List[Violation], final: bool) -> None:
         port = self.system.port

@@ -1,10 +1,9 @@
 """Shared parsing for ``REPRO_*`` environment variables.
 
-Environment switches are read in several subsystems (``repro.check``
-reads ``REPRO_AUDIT``, the runner reads ``REPRO_JOBS``).  Boolean flags
-in particular are easy to get wrong: ``REPRO_AUDIT=false`` is truthy
-under a naive ``value != "0"`` test.  :func:`env_flag` gives every flag
-one spelling of the truth.
+Boolean environment switches (``repro.check`` reads ``REPRO_AUDIT``)
+are easy to get wrong: ``REPRO_AUDIT=false`` is truthy under a naive
+``value != "0"`` test.  :func:`env_flag` gives every flag one spelling
+of the truth.
 
 Accepted spellings (case-insensitive, surrounding whitespace ignored):
 

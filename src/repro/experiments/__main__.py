@@ -11,7 +11,7 @@ from typing import List, Optional
 
 from repro.config import SystemConfig
 from repro.experiments.registry import experiment_ids, get_experiment
-from repro.runner import configure_runner, default_jobs
+from repro.runner import configure_runner
 from repro.workloads import get_workload
 
 
@@ -38,8 +38,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help="simulation worker processes (default: $REPRO_JOBS or 1)",
+        default=1,
+        help="simulation worker processes (default 1)",
     )
     parser.add_argument(
         "--shards",
@@ -111,7 +111,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             trace_dir=args.trace,
         )
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
+    jobs = args.jobs
     if args.profile is not None and jobs != 1:
         print("--profile forces --jobs 1 (cProfile cannot see worker "
               "processes)", file=sys.stderr)

@@ -518,11 +518,8 @@ class HostPort:
             raise WorkloadError("response packet without a transaction")
         if txn.failed:
             self._drop_response(txn)
-            self.pool.release(packet)
             return
         txn.response_hops = packet.hops_traversed
-        # The packet's job ends here — completion rides the transaction.
-        self.pool.release(packet)
         if self._deadline_ps:
             # The response is accepted *now*: a deadline timer firing
             # while it crosses the chip back to the core must not cancel

@@ -223,17 +223,12 @@ class QuadrantController:
         response.source_tech = self.timing.tech.name
         if txn.segments is not None:
             response.obs_mark = engine.now  # inject-stall clock starts here
-        # The request carcass is dead once the response exists; recycle
-        # it before the injection cascade below can allocate.
-        self.pool.release(packet)
         # route_response returns False only when a RAS permanent failure
         # cut this cube off from its target — the packet is then lost
         # (the host errors the transaction on its side).
         if self.route_response(response) is not False:
             self._pending_responses.append(response)
             self._try_inject(engine)
-        else:
-            self.pool.release(response)
         self._kick(engine)
 
     # -- response path ---------------------------------------------------------
@@ -267,7 +262,6 @@ class QuadrantController:
                 kept.append(response)
             else:
                 dropped += 1
-                self.pool.release(response)
         self._pending_responses = kept
         return dropped
 

@@ -39,10 +39,6 @@ class PacketKind(enum.IntEnum):
         )
 
     @property
-    def is_response(self) -> bool:
-        return not self.is_request
-
-    @property
     def carries_data(self) -> bool:
         """Data packets are write requests, read responses and p2p lines."""
         return self in (
@@ -105,7 +101,6 @@ class Packet:
         "transaction",
         "source_tech",
         "obs_mark",
-        "freed",
     )
 
     def __init__(
@@ -148,33 +143,15 @@ class Packet:
         # Scratch timestamp for observability: marks when the packet
         # entered its current waiting stage (set only with attribution on).
         self.obs_mark: Optional[int] = None
-        # Set by PacketPool.release; guards against double frees and
-        # lets the auditor spot a freed packet still resident somewhere.
-        self.freed = False
 
     # ------------------------------------------------------------------
     @property
     def current_node(self) -> int:
         return self.route[self.hop_index]
 
-    @property
-    def next_node(self) -> int:
-        return self.route[self.hop_index + 1]
-
-    @property
-    def at_destination(self) -> bool:
-        return self.hop_index == len(self.route) - 1
-
-    @property
-    def hops_remaining(self) -> int:
-        return len(self.route) - 1 - self.hop_index
-
     def advance(self) -> None:
         self.hop_index += 1
         self.hops_traversed += 1
-
-    def total_route_hops(self) -> int:
-        return max(len(self.route) - 1, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -316,9 +293,4 @@ class Transaction:
     @property
     def total_ps(self) -> int:
         return (self.complete_ps or 0) - self._t0
-
-    @property
-    def core_stall_ps(self) -> int:
-        """Core-side wait before the window grant (not in the breakdown)."""
-        return self._t0 - self.issue_ps
 

@@ -1,106 +1,50 @@
-"""Recycling packet allocator with array-backed accounting.
+"""The one place packets are built.
 
-Every transaction allocates two :class:`~repro.net.packet.Packet`
-objects (request and response) that live for a few microseconds of
-simulated time and then become garbage — at hundreds of thousands of
-events per second that is steady allocator churn on the hottest path.
-:class:`PacketPool` recycles the carcasses through a flat freelist:
-a released packet is re-initialised in place on the next acquire, so
-the object (and its slot storage) is reused while its identity-relevant
-state — including a *fresh* ``pid`` from the global counter — is
-indistinguishable from a newly constructed packet.  Result digests are
-therefore byte-identical with and without recycling.
+Every transaction needs a request packet and a response packet (a p2p
+copy adds a transfer leg and an ack); :class:`PacketPool` builds each
+of them from the transaction or the packet it answers, so the kind,
+size and endpoints of every packet are decided here.  Each packet is a
+new object with a fresh ``pid`` from the global counter.
 
-Bookkeeping is structure-of-arrays style: per-kind acquire/release
-counters live in preallocated ``array('q')`` typed arrays indexed by
-the integer :class:`~repro.net.packet.PacketKind` value, and are only
-decoded to the kind-name taxonomy when :meth:`PacketPool.stats` is
-exported.
-
-Safety: ``release`` marks the packet ``freed`` and rejects double
-frees; the invariant auditor (:mod:`repro.check`) walks the visible
-resident population (router queues, controller response buffers) and
-verifies that no resident packet is freed and that the pool's live
-count covers everything it can see (packets in flight on links are
-live but invisible, so the check is a lower bound — tolerant of RAS
-drops by construction, since drops release through the same gate).
+Packets are not recycled: a freelist measured no faster end to end and
+no smaller in memory (``docs/performance.md``), and each release point
+had to be ordered so that a reused object could never alias a live
+packet.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import List, Optional
-
 from repro.config import PacketConfig
-from repro.errors import SimulationError
 from repro.net.packet import Packet, PacketKind, Transaction
 
-_NUM_KINDS = len(PacketKind)
 #: The request packet kind of each ``Transaction.kind`` (read, write, p2p).
 _REQUEST_KINDS = (PacketKind.READ_REQ, PacketKind.WRITE_REQ, PacketKind.P2P_REQ)
 
 
 class PacketPool:
-    """Flat freelist of recycled packets plus typed counter arrays."""
+    """Packet builders plus a count of the packets built."""
 
-    __slots__ = (
-        "_free",
-        "acquired",
-        "recycled",
-        "released",
-        "kind_acquired",
-        "kind_released",
-    )
+    __slots__ = ("acquired",)
+
+    #: Always 0, since no packet is reused; ``hostbench/probes.py`` reads it.
+    recycled = 0
 
     def __init__(self) -> None:
-        self._free: List[Packet] = []
         self.acquired = 0
-        self.recycled = 0
-        self.released = 0
-        # Structure-of-arrays counters, indexed by int(PacketKind).
-        self.kind_acquired = array("q", [0] * _NUM_KINDS)
-        self.kind_released = array("q", [0] * _NUM_KINDS)
-
-    # -- acquisition -------------------------------------------------------
-    def acquire(
-        self,
-        kind: PacketKind,
-        address: int,
-        src: int,
-        dest: int,
-        size_bits: int,
-        create_ps: int,
-        transaction: Optional[Transaction],
-    ) -> Packet:
-        """A packet with constructor semantics (fresh pid included)."""
-        self.acquired += 1
-        self.kind_acquired[kind] += 1
-        free = self._free
-        if free:
-            self.recycled += 1
-            packet = free.pop()
-            # Re-run the constructor in place: every slot (including a
-            # fresh pid drawn from the same global counter) is reset, so
-            # a recycled packet is indistinguishable from a new one.
-            packet.__init__(
-                kind, address, src, dest, size_bits, create_ps, transaction
-            )
-            return packet
-        return Packet(kind, address, src, dest, size_bits, create_ps, transaction)
 
     def request_packet(
         self, config: PacketConfig, txn: Transaction, now_ps: int
     ) -> Packet:
         """The host's request for a transaction: a read request, a write,
         or a p2p copy's "read and forward" command to the source cube."""
+        self.acquired += 1
         kind = _REQUEST_KINDS[txn.kind]
-        size = config.data_bits if kind.carries_data else config.control_bits
-        return self.acquire(
+        return Packet(
             kind,
             txn.address,
             -1,  # host
             txn.dest_cube if txn.dest_cube is not None else -1,
-            size,
+            config.data_bits if kind.carries_data else config.control_bits,
             now_ps,
             txn,
         )
@@ -109,14 +53,14 @@ class PacketPool:
         self, config: PacketConfig, request: Packet, now_ps: int
     ) -> Packet:
         """The response (read data or write ack) for a delivered request."""
+        self.acquired += 1
         kind = request.kind.response_kind()
-        size = config.data_bits if kind.carries_data else config.control_bits
-        return self.acquire(
+        return Packet(
             kind,
             request.address,
             request.dest,
             request.src,
-            size,
+            config.data_bits if kind.carries_data else config.control_bits,
             now_ps,
             request.transaction,
         )
@@ -131,8 +75,9 @@ class PacketPool:
         transaction's p2p target cube, not the requester, and the
         packet addresses the *mirrored* location at that cube.
         """
+        self.acquired += 1
         txn = request.transaction
-        packet = self.acquire(
+        packet = Packet(
             PacketKind.P2P_XFER,
             txn.address,
             request.dest,  # the source cube the line was read from
@@ -148,7 +93,8 @@ class PacketPool:
         self, config: PacketConfig, request: Packet, now_ps: int
     ) -> Packet:
         """Completion notice, destination cube -> host."""
-        return self.acquire(
+        self.acquired += 1
+        return Packet(
             PacketKind.P2P_ACK,
             request.address,
             request.dest,  # the destination cube the line landed in
@@ -157,42 +103,3 @@ class PacketPool:
             now_ps,
             request.transaction,
         )
-
-    # -- release -----------------------------------------------------------
-    def release(self, packet: Packet) -> None:
-        """Return a packet whose last consumer is provably done with it."""
-        if packet.freed:
-            raise SimulationError(
-                f"double release of packet #{packet.pid} into the pool"
-            )
-        packet.freed = True
-        self.released += 1
-        self.kind_released[packet.kind] += 1
-        self._free.append(packet)
-
-    # -- introspection -----------------------------------------------------
-    @property
-    def live(self) -> int:
-        """Packets acquired and not yet released (resident + in flight)."""
-        return self.acquired - self.released
-
-    @property
-    def freelist_size(self) -> int:
-        return len(self._free)
-
-    def stats(self) -> dict:
-        """Counters decoded to the kind-name taxonomy (export only)."""
-        return {
-            "acquired": self.acquired,
-            "recycled": self.recycled,
-            "released": self.released,
-            "live": self.live,
-            "freelist": len(self._free),
-            "by_kind": {
-                kind.name: {
-                    "acquired": self.kind_acquired[kind],
-                    "released": self.kind_released[kind],
-                }
-                for kind in PacketKind
-            },
-        }

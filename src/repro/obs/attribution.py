@@ -105,11 +105,6 @@ def segment_code(label: str) -> int:
     return code
 
 
-def segment_label(code: int) -> str:
-    """The label string for an interned code (export-time decode)."""
-    return _SEGMENT_LABELS[code]
-
-
 def sum_by_label(
     segments: Iterable[Tuple[object, int, int]]
 ) -> Dict[str, int]:

@@ -18,11 +18,9 @@ See ``docs/performance.md`` for usage and cache layout.
 from repro.runner.cache import CACHE_DIR_ENV, ResultCache, default_cache_dir
 from repro.runner.job import SimJob, canonical_json, canonical_tree, digest_tree
 from repro.runner.pool import (
-    JOBS_ENV,
     JobFailure,
     ParallelRunner,
     configure_runner,
-    default_jobs,
     execute_job,
     get_runner,
     reset_runner,
@@ -31,7 +29,6 @@ from repro.runner.pool import (
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "JOBS_ENV",
     "JobFailure",
     "ParallelRunner",
     "ResultCache",
@@ -40,7 +37,6 @@ __all__ = [
     "canonical_tree",
     "configure_runner",
     "default_cache_dir",
-    "default_jobs",
     "digest_tree",
     "execute_job",
     "get_runner",

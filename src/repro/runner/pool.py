@@ -45,8 +45,7 @@ A module-level *ambient* runner lets high-level entry points
 (:func:`repro.system.simulate`, sweeps, the experiments) share one
 cache and one worker-count policy without threading a runner argument
 everywhere.  The experiments CLI configures it from ``--jobs`` /
-``--cache-dir`` / ``--no-cache``; ``REPRO_JOBS`` is the environment
-override.
+``--cache-dir`` / ``--no-cache``.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -67,9 +65,6 @@ from repro.runner.cache import ResultCache
 from repro.runner.job import SimJob
 
 K = TypeVar("K")
-
-#: Environment override for the default worker count.
-JOBS_ENV = "REPRO_JOBS"
 
 #: Extra attempts granted to jobs whose worker pool broke under them.
 POOL_RETRIES = 1
@@ -86,38 +81,6 @@ FOLD_CHUNK_CAP = 16
 #: Placeholder recorded for a result that was delivered (and, in a
 #: streaming fold, released) instead of retained.
 _FOLDED = object()
-
-_warned_bad_jobs_env = False
-
-
-def _warn_jobs_env_once(env: str, problem: str) -> None:
-    global _warned_bad_jobs_env
-    if not _warned_bad_jobs_env:
-        _warned_bad_jobs_env = True
-        warnings.warn(
-            f"ignoring {problem} {JOBS_ENV}={env!r} "
-            "(expected a positive integer); running serially",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def default_jobs() -> int:
-    """Worker count when none is given: ``$REPRO_JOBS``, else 1 (serial)."""
-    env = os.environ.get(JOBS_ENV)
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            _warn_jobs_env_once(env, "unparseable")
-        else:
-            if jobs >= 1:
-                return jobs
-            # REPRO_JOBS=0 or negative used to clamp to serial silently;
-            # diagnose it the same way an unparseable value is.
-            _warn_jobs_env_once(env, "non-positive")
-    return 1
-
 
 def execute_job(job: SimJob) -> SimResult:
     """Run one job to completion (top-level so it pickles to workers)."""
@@ -207,11 +170,11 @@ class ParallelRunner:
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         cache: Optional[ResultCache] = None,
         job_timeout_s: Optional[float] = None,
     ) -> None:
-        self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
+        self.jobs = max(1, int(jobs))
         # A fresh memory-only cache when none is shared in; callers that
         # want cross-runner reuse pass the ambient runner's cache.
         self.cache = ResultCache() if cache is None else cache
@@ -569,7 +532,7 @@ def get_runner() -> ParallelRunner:
 
 
 def configure_runner(
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     cache_dir: Optional[Union[str, os.PathLike]] = None,
     persistent: bool = False,
     job_timeout_s: Optional[float] = None,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -84,8 +85,8 @@ class Engine:
     def set_tracer(self, tracer) -> None:
         """Record every event dispatch into ``tracer`` (repro.obs).
 
-        Tracing swaps :meth:`run` onto a separate dispatch loop; with no
-        tracer attached the hot loops are untouched (one ``None`` check
+        Tracing swaps :meth:`run` onto the checked dispatch loop; with no
+        tracer attached the fast loop is untouched (one ``None`` check
         per *run call*, not per event — the zero-overhead guard).
         """
         self._tracer = tracer
@@ -159,10 +160,8 @@ class Engine:
         callback (or the tracer) raises, the exception propagates and
         the ``pending`` counter still matches the queue.
         """
-        if self._tracer is not None:
-            return self._run_traced(until, max_events)
-        if until is not None:
-            return self._run_bounded(until, max_events)
+        if until is not None or self._tracer is not None:
+            return self._run_checked(until, max_events)
         # Fast path: run the queue dry, checking only the stop latch and
         # the event limit.  This loop dominates every simulation's
         # wall-clock time, so the heap and heappop are bound to locals
@@ -189,66 +188,37 @@ class Engine:
             self._events_processed += processed
             self._running = False
 
-    def _run_bounded(self, until: int, max_events: Optional[int]) -> int:
-        processed = 0
-        pop = heappop
-        limit = _NO_LIMIT if max_events is None else max_events
-        heap = self._heap
-        self._running = True
-        try:
-            while True:
-                if not heap or heap[0][0] > until:
-                    if until > self.now:
-                        self.now = until
-                    return processed
-                time, _seq, callback, args = pop(heap)
-                self.now = time
-                processed += 1
-                callback(self, *args)
-                if self._stop:
-                    self._stop = False
-                    return processed
-                if processed >= limit and heap and heap[0][0] <= until:
-                    raise _limit_error(max_events, time)
-        finally:
-            self._pending -= processed
-            self._events_processed += processed
-            self._running = False
+    def _run_checked(self, until: Optional[int], max_events: Optional[int]) -> int:
+        """The :meth:`run` loop with a time bound and/or a tracer.
 
-    def _run_traced(self, until: Optional[int], max_events: Optional[int]) -> int:
-        """The :meth:`run` loop with per-event trace emission.
-
-        Kept out of line so the untraced loops stay check-free; trace
-        runs are diagnostic and not performance-sensitive.
+        Kept out of line so the fast loop stays check-free; bounded and
+        traced runs are for tests and diagnostics, not throughput.
         """
         tracer = self._tracer
+        bound = inf if until is None else until
         processed = 0
         pop = heappop
         heap = self._heap
-        bounded = until is not None
         limit = _NO_LIMIT if max_events is None else max_events
         self._running = True
         try:
             while True:
-                if not heap or (bounded and heap[0][0] > until):
-                    if bounded and until > self.now:
+                if not heap or heap[0][0] > bound:
+                    if until is not None and until > self.now:
                         self.now = until
                     return processed
                 time, _seq, callback, args = pop(heap)
                 self.now = time
                 processed += 1
-                tracer.engine_event(
-                    time, getattr(callback, "__qualname__", repr(callback))
-                )
+                if tracer is not None:
+                    tracer.engine_event(
+                        time, getattr(callback, "__qualname__", repr(callback))
+                    )
                 callback(self, *args)
                 if self._stop:
                     self._stop = False
                     return processed
-                if (
-                    processed >= limit
-                    and heap
-                    and not (bounded and heap[0][0] > until)
-                ):
+                if processed >= limit and heap and heap[0][0] <= bound:
                     raise _limit_error(max_events, time)
         finally:
             self._pending -= processed

@@ -68,10 +68,8 @@ class MemoryNetworkSystem:
             self.topology.cube_ids(),
         )
         self.collector = TransactionCollector()
-        # One shared recycling allocator for every packet in the system
-        # (host requests and cube responses).  Recycled packets draw
-        # fresh pids from the global counter, so pooling is invisible to
-        # result digests; see repro.net.pool.
+        # Builds every packet in the system (host requests and cube
+        # responses) and counts them; see repro.net.pool.
         self.packet_pool = PacketPool()
 
         self._links: List[Tuple[Link, LinkKind]] = []
@@ -415,13 +413,7 @@ class MemoryNetworkSystem:
                         victims.add(packet)
                         self._drop_packet(engine, packet)
                 if victims:
-                    removed = queue.remove(victims)
-                    drained.append((queue, removed))
-                    # Released only now — after the removal — so a
-                    # recycled carcass can never alias a packet the
-                    # remove() walk still compares against.
-                    for victim in victims:
-                        self.packet_pool.release(victim)
+                    drained.append((queue, queue.remove(victims)))
                 # A head rerouted in place invalidates the queue's
                 # cached output key; the batched credit returns below
                 # re-enter arbitration before the routers are kicked.
@@ -484,9 +476,6 @@ class MemoryNetworkSystem:
             return True
         self._drop_packet(engine, packet)
         link.return_credit(engine)
-        # Last: _drop_packet/return_credit cascades may acquire new
-        # packets, and this carcass must not be recycled while they run.
-        self.packet_pool.release(packet)
         return False
 
     def _drop_packet(self, engine: Engine, packet: Packet) -> None:

@@ -87,8 +87,7 @@ class TestBasicService:
     def test_timestamps_recorded(self):
         h = Harness()
         packet = make_request()
-        # Served request packets are recycled through the controller's
-        # PacketPool, so hold the transaction, not the packet.
+        # The timestamps land on the transaction the packet carries.
         txn = packet.transaction
         h.send(packet)
         h.run()

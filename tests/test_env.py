@@ -4,10 +4,8 @@ import warnings
 
 import pytest
 
-import repro.runner.pool as pool_mod
 from repro import check
 from repro.env import env_flag, reset_warnings
-from repro.runner.pool import default_jobs
 
 VAR = "REPRO_TEST_FLAG"
 
@@ -73,38 +71,3 @@ class TestAuditsEnabledFlag:
         with check.audits():
             assert check.audits_enabled() is True
         assert check.audits_enabled() is False
-
-
-class TestDefaultJobs:
-    @pytest.fixture(autouse=True)
-    def _fresh_jobs_warning(self):
-        pool_mod._warned_bad_jobs_env = False
-        yield
-        pool_mod._warned_bad_jobs_env = False
-
-    def test_valid_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        assert default_jobs() == 4
-
-    def test_unset_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert default_jobs() == 1
-
-    @pytest.mark.parametrize("raw", ["0", "-3"])
-    def test_non_positive_warns_and_runs_serial(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_JOBS", raw)
-        with pytest.warns(RuntimeWarning, match="non-positive"):
-            assert default_jobs() == 1
-
-    def test_unparseable_warns_and_runs_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        with pytest.warns(RuntimeWarning, match="unparseable"):
-            assert default_jobs() == 1
-
-    def test_warns_once(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        with pytest.warns(RuntimeWarning):
-            default_jobs()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert default_jobs() == 1

@@ -18,7 +18,9 @@ from repro.net.pool import PacketPool
 class TestPacketKind:
     def test_request_response_partition(self):
         for kind in PacketKind:
-            assert kind.is_request != kind.is_response
+            packet = Packet(kind, 0, 0, 1, 8, 0)
+            assert packet.is_req is kind.is_request
+            assert packet.is_resp is not kind.is_request
 
     def test_data_packets(self):
         assert PacketKind.WRITE_REQ.carries_data
@@ -48,15 +50,13 @@ class TestPacketRoute:
     def test_route_walk(self):
         packet = self.make()
         assert packet.current_node == 0
-        assert packet.next_node == 1
-        assert not packet.at_destination
-        assert packet.hops_remaining == 3
+        assert packet.route[packet.hop_index + 1] == 1
         packet.advance()
         packet.advance()
         packet.advance()
-        assert packet.at_destination
+        assert packet.hop_index == len(packet.route) - 1
+        assert packet.current_node == 3
         assert packet.hops_traversed == 3
-        assert packet.total_route_hops() == 3
 
     def test_unique_ids(self):
         a = Packet(PacketKind.READ_REQ, 0, 0, 1, 8, 0)
@@ -89,7 +89,8 @@ class TestTransactionLatencies:
         assert txn.in_memory_ps == 60
         assert txn.from_memory_ps == 140
         assert txn.total_ps == 350
-        assert txn.core_stall_ps == 50
+        # The core-side stall before the grant is outside the breakdown.
+        assert txn.complete_ps - txn.issue_ps - txn.total_ps == 50
 
     def test_breakdown_falls_back_to_issue_time(self):
         txn = Transaction(address=0, is_write=True, port_id=0, issue_ps=10)
@@ -97,7 +98,7 @@ class TestTransactionLatencies:
         txn.mem_depart_ps = 40
         txn.complete_ps = 50
         assert txn.to_memory_ps == 20
-        assert txn.core_stall_ps == 0
+        assert txn.total_ps == txn.complete_ps - txn.issue_ps
 
     def test_components_sum_to_total(self):
         txn = self.make_txn()

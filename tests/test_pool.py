@@ -1,11 +1,8 @@
-"""Unit tests for the recycling packet pool (``repro.net.pool``)."""
+"""Unit tests for the packet builders (``repro.net.pool``)."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.config import PacketConfig
-from repro.errors import SimulationError
 from repro.net.packet import Packet, PacketKind, Transaction
 from repro.net.pool import PacketPool
 
@@ -16,51 +13,29 @@ def make_txn(is_write=False, address=0x400):
     return txn
 
 
-def test_acquire_without_freelist_constructs():
+def test_each_build_is_a_new_counted_packet():
     pool = PacketPool()
-    packet = pool.request_packet(PacketConfig(), make_txn(), 10)
-    assert packet.kind == PacketKind.READ_REQ
-    assert not packet.freed
-    assert pool.acquired == 1
-    assert pool.recycled == 0
-    assert pool.live == 1
-
-
-def test_release_and_recycle_reuses_object():
-    pool = PacketPool()
-    first = pool.request_packet(PacketConfig(), make_txn(), 0)
-    first_pid = first.pid
-    pool.release(first)
-    assert first.freed
-    assert pool.freelist_size == 1
-    second = pool.request_packet(PacketConfig(), make_txn(is_write=True), 5)
-    assert second is first  # the carcass was recycled in place...
-    assert not second.freed
-    assert second.pid > first_pid  # ...with a fresh identity
+    config = PacketConfig()
+    first = pool.request_packet(config, make_txn(), 10)
+    assert first.kind == PacketKind.READ_REQ
+    second = pool.request_packet(config, make_txn(is_write=True), 5)
+    assert second is not first
     assert second.kind == PacketKind.WRITE_REQ
-    assert pool.recycled == 1
-    assert pool.freelist_size == 0
+    assert first.kind == PacketKind.READ_REQ  # untouched by the second build
+    pool.response_packet(config, first, 20)
+    assert pool.acquired == 3
+    assert pool.recycled == 0
 
 
 def test_pid_stream_interleaves_with_direct_construction():
-    """Recycling must draw pids from the same global counter as plain
-    construction — that is what keeps pooling digest-invisible."""
+    """Builders draw pids from the same global counter as plain
+    construction, so packet ids follow creation order."""
     pool = PacketPool()
     config = PacketConfig()
-    pooled = pool.request_packet(config, make_txn(), 0)
-    first_pid = pooled.pid  # recycling overwrites it in place below
+    built = pool.request_packet(config, make_txn(), 0)
     direct = Packet(PacketKind.READ_REQ, 0, 0, 1, 128, 0)
-    pool.release(pooled)
-    recycled = pool.request_packet(config, make_txn(), 0)
-    assert first_pid < direct.pid < recycled.pid
-
-
-def test_double_release_raises():
-    pool = PacketPool()
-    packet = pool.request_packet(PacketConfig(), make_txn(), 0)
-    pool.release(packet)
-    with pytest.raises(SimulationError, match="double release"):
-        pool.release(packet)
+    later = pool.request_packet(config, make_txn(), 0)
+    assert built.pid < direct.pid < later.pid
 
 
 def test_request_matches_module_constructor():
@@ -89,16 +64,24 @@ def test_response_matches_module_constructor():
     assert pooled.kind == PacketKind.READ_RESP
 
 
-def test_stats_decode_kind_taxonomy():
-    pool = PacketPool()
+def test_p2p_legs_address_the_mirrored_location():
     config = PacketConfig()
-    read = pool.request_packet(config, make_txn(), 0)
-    pool.release(read)
-    pool.request_packet(config, make_txn(is_write=True), 1)
-    stats = pool.stats()
-    assert stats["acquired"] == 2
-    assert stats["recycled"] == 1
-    assert stats["released"] == 1
-    assert stats["live"] == 1
-    assert stats["by_kind"]["READ_REQ"] == {"acquired": 1, "released": 1}
-    assert stats["by_kind"]["WRITE_REQ"] == {"acquired": 1, "released": 0}
+    pool = PacketPool()
+    txn = Transaction(0x400, False, port_id=0, issue_ps=0, is_p2p=True)
+    txn.dest_cube = 3
+    txn.location = (3, 0, 1, 7)
+    txn.p2p_dest_cube = 5
+    txn.p2p_dest_location = (5, 0, 1, 7)
+    request = pool.request_packet(config, txn, 0)
+    assert request.location == txn.location
+    xfer = pool.p2p_xfer_packet(config, request, 10)
+    assert xfer.kind == PacketKind.P2P_XFER
+    assert (xfer.src, xfer.dest) == (3, 5)
+    assert xfer.location == txn.p2p_dest_location
+    assert xfer.size_bits == config.data_bits
+    ack = pool.p2p_ack_packet(config, xfer, 20)
+    assert ack.kind == PacketKind.P2P_ACK
+    assert (ack.src, ack.dest) == (5, -1)
+    assert ack.location == txn.location
+    assert ack.size_bits == config.control_bits
+    assert pool.acquired == 3

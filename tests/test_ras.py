@@ -6,7 +6,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-import warnings
 
 import pytest
 
@@ -14,7 +13,7 @@ from repro.errors import ConfigError, RunnerError
 from repro.ras import FaultPlan
 from repro.runner import JobFailure, ParallelRunner, SimJob
 from repro.runner.cache import ResultCache
-from repro.runner.pool import default_jobs, execute_job as _real_execute_job
+from repro.runner.pool import execute_job as _real_execute_job
 from repro.serialization import result_digest
 from repro.sweep import Sweep
 from repro.system import MemoryNetworkSystem
@@ -470,17 +469,6 @@ class TestRunnerHardening:
             assert isinstance(failure, JobFailure)
             assert failure.kind == "pool"
             assert failure.attempts == 2  # one retry after the respawn
-
-    def test_bad_jobs_env_warns_once(self, monkeypatch):
-        import repro.runner.pool as pool_module
-
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        monkeypatch.setattr(pool_module, "_warned_bad_jobs_env", False)
-        with pytest.warns(RuntimeWarning, match="REPRO_JOBS"):
-            assert default_jobs() == 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert default_jobs() == 1  # silent the second time
 
     def test_sweep_records_sim_failure_as_error_row(self):
         rows = (
