@@ -23,7 +23,7 @@ credit.conservation   depth - credits == queued + on-wire for every
                       link; a created or destroyed credit fails here
 queue.accounting      pushed == popped + removed + resident for every
                       input queue; a leaked packet fails here
-queue.capacity        occupancy never exceeds a finite queue's capacity
+queue.capacity        occupancy never exceeds the queue's capacity
 queue.fifo            entry timestamps are non-decreasing head-to-tail
 packet.route          every queued packet is filed at the node its route
                       says it is at, with a sane hop index
@@ -196,8 +196,6 @@ class InvariantAuditor:
                     f"{link.packets_carried}, guard-dropped "
                     f"{link.guard_drops}, delivered {queue.pushed}",
                 ))
-            if credits is None:
-                continue
             depth = queue.capacity
             if not 0 <= credits <= depth:
                 out.append((
@@ -220,13 +218,13 @@ class InvariantAuditor:
     def _check_queues(self, out: List[Violation]) -> None:
         for queue in self._iter_queues():
             resident = len(queue)
-            if queue.pushed != queue.pops + queue.removed_count + resident:
+            if queue.pushed != queue.popped + queue.removed_count + resident:
                 out.append((
                     "queue.accounting", queue.name,
-                    f"pushed {queue.pushed} != popped {queue.pops} + "
+                    f"pushed {queue.pushed} != popped {queue.popped} + "
                     f"removed {queue.removed_count} + resident {resident}",
                 ))
-            if queue.capacity is not None and resident > queue.capacity:
+            if resident > queue.capacity:
                 out.append((
                     "queue.capacity", queue.name,
                     f"{resident} resident > capacity {queue.capacity}",
@@ -239,8 +237,6 @@ class InvariantAuditor:
                 ))
             last = None
             for entered in queue._entry_times:
-                if entered is None:
-                    continue
                 if last is not None and entered < last:
                     out.append((
                         "queue.fifo", queue.name,
@@ -252,7 +248,7 @@ class InvariantAuditor:
     def _check_routers(self, out: List[Violation]) -> None:
         for router in self.system._routers.values():
             granted = sum(router.grants.values())
-            popped = sum(queue.pops for queue in router.inputs)
+            popped = sum(queue.popped for queue in router.inputs)
             if granted != popped:
                 out.append((
                     "router.accounting", router.name,
@@ -442,9 +438,7 @@ class InvariantAuditor:
                     "packet.conservation", link.name,
                     f"{in_flight} packet(s) still on the wire",
                 ))
-            if healthy and link.credits is not None and (
-                link.credits != link.dst_queue.capacity
-            ):
+            if healthy and link.credits != link.dst_queue.capacity:
                 out.append((
                     "credit.conservation", link.name,
                     f"{link.credits} of {link.dst_queue.capacity} "

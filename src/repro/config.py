@@ -44,9 +44,9 @@ class LinkConfig:
 
     def validate(self) -> None:
         if self.lanes <= 0 or self.lane_gbps <= 0:
-            raise ConfigError("link lanes and speed must be positive")
+            raise ConfigError("lanes and lane_gbps must be positive")
         if self.input_buffer_packets < 1:
-            raise ConfigError("links need at least one input buffer slot")
+            raise ConfigError("input_buffer_packets must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -215,6 +215,8 @@ class CubeConfig:
             raise ConfigError("cube needs >= 2 external ports to form networks")
         if self.scheduling not in ("fcfs", "frfcfs"):
             raise ConfigError(f"unknown scheduling policy {self.scheduling!r}")
+        if self.controller_queue_depth < 1:
+            raise ConfigError("controller_queue_depth must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +252,10 @@ class HostConfig:
             raise ConfigError("interleave granularity must be a power of two")
         if self.max_outstanding_per_port < 1:
             raise ConfigError("window must allow at least one request")
+        if self.store_buffer_entries < 1:
+            raise ConfigError("store_buffer_entries must be at least 1")
+        if self.inject_queue_depth < 1:
+            raise ConfigError("inject_queue_depth must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +520,11 @@ class SystemConfig:
             raise ConfigError("warmup_fraction must be in [0, 1)")
         if self.p2p_pattern not in VALID_P2P_PATTERNS:
             raise ConfigError(f"unknown p2p pattern {self.p2p_pattern!r}")
-        self.link.validate()
+        for name in ("link", "interposer_link"):
+            try:
+                getattr(self, name).validate()
+            except ConfigError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
         self.obs.validate()
         self.ras.validate()
         self.overload.validate()

@@ -220,7 +220,6 @@ class QuadrantController:
             )
         if plan.row_hit:
             self.row_hits += 1
-        response.source_tech = self.timing.tech.name
         if txn.segments is not None:
             response.obs_mark = engine.now  # inject-stall clock starts here
         # route_response returns False only when a RAS permanent failure

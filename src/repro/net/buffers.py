@@ -17,7 +17,8 @@ class InputQueue:
     identifies where to return a credit when a packet leaves the queue;
     local sources (memory controllers, host injectors) leave it None and
     may instead register ``on_drain`` to learn when space frees up.
-    ``capacity=None`` models an infinite sink (the host's receive side).
+    Every queue holds at most ``capacity`` packets; the host's receive
+    side is not a queue but a :class:`~repro.net.router.LocalOutput`.
     """
 
     __slots__ = (
@@ -31,7 +32,6 @@ class InputQueue:
         "peak_occupancy",
         "total_wait_ps",
         "pushed",
-        "pops",
         "popped",
         "removed_count",
         "tracer",
@@ -40,7 +40,7 @@ class InputQueue:
         "_seg_xfer",
     )
 
-    def __init__(self, name: str, capacity: Optional[int]) -> None:
+    def __init__(self, name: str, capacity: int) -> None:
         self.name = name
         self.capacity = capacity
         # Interned attribution labels (repro.obs): computed once here so
@@ -51,7 +51,7 @@ class InputQueue:
         # from the source-cube read until the destination-cube write.
         self._seg_xfer = segment_code("mem.xfer.queue." + name)
         self._items: Deque[Packet] = deque()
-        self._entry_times: Deque[Optional[int]] = deque()
+        self._entry_times: Deque[int] = deque()
         # Cached output key (-1 = local, else next node id) of the head
         # packet, None when empty.  The router's arbitration scan reads
         # this instead of re-deriving route[hop] per queue per round; it
@@ -64,11 +64,8 @@ class InputQueue:
         self.peak_occupancy = 0
         # waiting-time accounting (the Section 3.2 parking-lot analysis)
         self.total_wait_ps = 0
-        # conservation counters (repro.check): ``pushed`` and ``pops``
-        # count every entry/exit; ``popped`` only the *timed* pops that
-        # feed mean_wait_ps (untimed pops would skew the mean).
+        # conservation counters (repro.check): every entry and exit
         self.pushed = 0
-        self.pops = 0
         self.popped = 0
         self.removed_count = 0
         # observability (repro.obs): set by the system when tracing is on
@@ -82,16 +79,16 @@ class InputQueue:
         return not self._items
 
     def has_space(self) -> bool:
-        return self.capacity is None or len(self._items) < self.capacity
+        return len(self._items) < self.capacity
 
     def head(self) -> Packet:
         if not self._items:
             raise SimulationError(f"peek on empty queue {self.name}")
         return self._items[0]
 
-    def push(self, packet: Packet, now_ps: Optional[int] = None) -> None:
+    def push(self, packet: Packet, now_ps: int) -> None:
         items = self._items
-        if self.capacity is not None and len(items) >= self.capacity:
+        if len(items) >= self.capacity:
             raise SimulationError(
                 f"queue {self.name} overflow (capacity {self.capacity}); "
                 "credit accounting is broken"
@@ -109,7 +106,7 @@ class InputQueue:
         if self.tracer is not None:
             self.tracer.queue_depth(self.name, now_ps, depth)
 
-    def pop(self, now_ps: Optional[int] = None) -> Packet:
+    def pop(self, now_ps: int) -> Packet:
         if not self._items:
             raise SimulationError(f"pop on empty queue {self.name}")
         entered = self._entry_times.popleft()
@@ -122,19 +119,17 @@ class InputQueue:
             self.head_key = route[hop] if hop < len(route) else -1
         else:
             self.head_key = None
-        self.pops += 1
-        if entered is not None and now_ps is not None:
-            self.total_wait_ps += now_ps - entered
-            self.popped += 1
-            txn = packet.transaction
-            if txn is not None and txn.segments is not None and now_ps > entered:
-                if packet.is_xfer:
-                    code = self._seg_xfer
-                elif packet.is_req:
-                    code = self._seg_req
-                else:
-                    code = self._seg_resp
-                txn.segments.append((code, entered, now_ps))
+        self.popped += 1
+        self.total_wait_ps += now_ps - entered
+        txn = packet.transaction
+        if txn is not None and txn.segments is not None and now_ps > entered:
+            if packet.is_xfer:
+                code = self._seg_xfer
+            elif packet.is_req:
+                code = self._seg_req
+            else:
+                code = self._seg_resp
+            txn.segments.append((code, entered, now_ps))
         if self.tracer is not None:
             self.tracer.queue_depth(self.name, now_ps, len(items))
         return packet
@@ -187,5 +182,4 @@ class InputQueue:
         return self.total_wait_ps / self.popped if self.popped else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        cap = "inf" if self.capacity is None else self.capacity
-        return f"InputQueue({self.name}, {len(self._items)}/{cap})"
+        return f"InputQueue({self.name}, {len(self._items)}/{self.capacity})"

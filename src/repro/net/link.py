@@ -157,9 +157,7 @@ class Link:
         self.channel = channel if channel is not None else SharedChannel(name)
         self.channel.halves.append(self)
         self.dst_queue = dst_queue
-        self._credits: Optional[int] = (
-            dst_queue.capacity if dst_queue.capacity is not None else None
-        )
+        self._credits = dst_queue.capacity
         self._waiting = False  # registered in the channel's waiting set
         self._ser_cache: dict = {}  # size_bits -> serialization ps
         # fixed post-serialization latency, hoisted out of send()
@@ -208,17 +206,6 @@ class Link:
         dst_queue.upstream_link = self
 
     # ------------------------------------------------------------------
-    def serialization_delay_ps(self, packet: Packet) -> int:
-        # Only a handful of packet sizes ever cross one link; memoize
-        # per link so the hot path is a dict hit on an int key.
-        ser = self._ser_cache.get(packet.size_bits)
-        if ser is None:
-            ser = serialization_ps(
-                packet.size_bits, self.config.lanes, self.config.lane_gbps
-            )
-            self._ser_cache[packet.size_bits] = ser
-        return ser
-
     def fail(self) -> None:
         """Permanently kill this direction (RAS).  In-flight packets
         still deliver — the retry buffer drains — but nothing new is
@@ -226,7 +213,7 @@ class Link:
         self.dead = True
 
     @property
-    def credits(self) -> Optional[int]:
+    def credits(self) -> int:
         return self._credits
 
     # ------------------------------------------------------------------
@@ -241,14 +228,16 @@ class Link:
         """
         if self.dead:
             raise SimulationError(f"link {self.name} is dead")
-        if self._credits is not None and self._credits <= 0:
+        if self._credits <= 0:
             raise SimulationError(f"link {self.name} has no credit")
         # Only a handful of packet sizes ever cross one link; memoize
         # the serialization time per link (dict hit on an int key).
         size_bits = packet.size_bits
         ser = self._ser_cache.get(size_bits)
         if ser is None:
-            ser = self.serialization_delay_ps(packet)
+            ser = self._ser_cache[size_bits] = serialization_ps(
+                size_bits, self.config.lanes, self.config.lane_gbps
+            )
         occupy_ps = ser
         retry_ps = 0
         faults = self.faults
@@ -270,8 +259,7 @@ class Link:
         if channel._waiting and not channel._idle_armed:
             channel._idle_armed = True
             engine.schedule_bound(occupy_ps, channel._became_idle)
-        if self._credits is not None:
-            self._credits -= 1
+        self._credits -= 1
         self.packets_carried += 1
         self.bits_carried += size_bits
         self.busy_ps += occupy_ps
@@ -308,8 +296,7 @@ class Link:
 
     def return_credit(self, engine: Engine) -> None:
         """Called by the downstream router when a packet leaves its queue."""
-        if self._credits is not None:
-            self._credits += 1
+        self._credits += 1
         # Retrying immediately models an ideal credit wire; the 2 ns
         # SerDes latency already dominates real credit-return time.
         # With nobody registered as waiting there is nothing to wake.

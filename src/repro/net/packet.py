@@ -93,13 +93,8 @@ class Packet:
         "route",
         "hop_index",
         "create_ps",
-        "inject_ps",
-        "mem_arrive_ps",
-        "mem_depart_ps",
-        "complete_ps",
         "hops_traversed",
         "transaction",
-        "source_tech",
         "obs_mark",
     )
 
@@ -133,13 +128,8 @@ class Packet:
         self.route: List[int] = []
         self.hop_index = 0
         self.create_ps = create_ps
-        self.inject_ps: Optional[int] = None
-        self.mem_arrive_ps: Optional[int] = None
-        self.mem_depart_ps: Optional[int] = None
-        self.complete_ps: Optional[int] = None
         self.hops_traversed = 0
         self.transaction = transaction
-        self.source_tech: Optional[str] = None  # tech of responding cube
         # Scratch timestamp for observability: marks when the packet
         # entered its current waiting stage (set only with attribution on).
         self.obs_mark: Optional[int] = None

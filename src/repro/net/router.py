@@ -77,7 +77,6 @@ class Router:
         "_arbiters",
         "_ports",
         "_arbiter_factory",
-        "response_priority",
         "grants",
         "tracer",
     )
@@ -87,7 +86,6 @@ class Router:
         node_id: int,
         name: str,
         arbiter_factory: Callable[[], OutputArbiter],
-        response_priority: bool = True,
     ) -> None:
         self.node_id = node_id
         self.name = name
@@ -98,7 +96,6 @@ class Router:
         # hit instead of two lookups plus a type test per arbitration
         self._ports: Dict[int, tuple] = {}
         self._arbiter_factory = arbiter_factory
-        self.response_priority = response_priority
         self.grants: Dict[int, int] = {}
         # observability (repro.obs): set by the system when tracing is on
         self.tracer = None
@@ -201,11 +198,7 @@ class Router:
         while True:
             now = engine.now
             if link is not None:
-                if (
-                    link.dead
-                    or now < link.channel._busy_until
-                    or (link._credits is not None and link._credits <= 0)
-                ):
+                if link.dead or now < link.channel._busy_until or link._credits <= 0:
                     # Blocked: if any head wants this output, sleep
                     # until the one transition that can unblock it
                     # (channel idle / credit return) instead of polling.
@@ -241,7 +234,8 @@ class Router:
                 # the router when a slot frees.
                 break
             n_cand = len(candidates)
-            if resp_count and resp_count != n_cand and self.response_priority:
+            if resp_count and resp_count != n_cand:
+                # responses before requests (deadlock avoidance, Sec. 3.2)
                 candidates = [c for c in candidates if c[1].is_resp]
             pos = arbiter.pick(now, candidates)
             if not 0 <= pos < len(candidates):
@@ -277,9 +271,7 @@ class Router:
                 elif new_key not in retry:
                     retry.append(new_key)
             if link is not None and (
-                now < link.channel._busy_until
-                or (link._credits is not None and link._credits <= 0)
-                or link.dead
+                now < link.channel._busy_until or link._credits <= 0 or link.dead
             ):
                 # The send serialized the channel (and may have spent
                 # the last credit): this round is over.  Remaining

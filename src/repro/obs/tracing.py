@@ -72,23 +72,39 @@ KIND_LABELS = (
 #: Packet-kind names by int value (the ring stores the value).
 PACKET_KIND_NAMES = tuple(kind.name for kind in sorted(PacketKind))
 
+#: Record field names of each event kind: the ring tuple's fields after
+#: ``(ts, code)``, in order.  A ``"packet"`` field stores the packet
+#: kind's int value and exports as its name.
+_FIELDS = {
+    LINK: ("link", "ser_ps", "arrival_ps", "pid", "packet", "bits"),
+    QUEUE: ("queue", "depth"),
+    GRANT: ("router", "output", "pid", "packet", "contenders"),
+    MEM: ("controller", "ready_ps", "row_hit", "is_write"),
+    ENGINE: ("callback",),
+    RETRY: ("link", "replays", "retry_ps"),
+    FAULT: ("a", "b"),
+    HOST_TIMEOUT: ("tid", "attempt"),
+    HOST_RETRY: ("tid", "attempt"),
+    HOST_SHED: ("tid",),
+}
+# Ring-tuple index of the packet kind, for the kinds that carry one.
+_PACKET_AT = {
+    code: 2 + names.index("packet")
+    for code, names in _FIELDS.items() if "packet" in names
+}
+
+
+def _fields(event: tuple) -> tuple:
+    """A ring tuple's fields after ``(ts, code)``, packet kind by name."""
+    at = _PACKET_AT.get(event[1])
+    if at is None:
+        return event[2:]
+    return event[2:at] + (PACKET_KIND_NAMES[event[at]],) + event[at + 1:]
+
 
 def _decode(event: tuple) -> tuple:
     """Ring tuple -> the public string-taxonomy tuple."""
-    code = event[1]
-    if code == LINK:
-        # stored: (ts, LINK, name, ser, arrival, pid, kind, bits)
-        return (
-            event[0], "link", event[2], event[3], event[4], event[5],
-            PACKET_KIND_NAMES[event[6]], event[7],
-        )
-    if code == GRANT:
-        # stored: (ts, GRANT, name, output_key, pid, kind, contenders)
-        return (
-            event[0], "grant", event[2], event[3], event[4],
-            PACKET_KIND_NAMES[event[5]], event[6],
-        )
-    return (event[0], KIND_LABELS[code]) + event[2:]
+    return (event[0], KIND_LABELS[event[1]]) + _fields(event)
 
 
 class TraceRecorder:
@@ -175,14 +191,13 @@ class TraceRecorder:
                 packet.kind._value_, packet.size_bits,
             ))
 
-    def queue_depth(self, name: str, now_ps: Optional[int], depth: int) -> None:
+    def queue_depth(self, name: str, now_ps: int, depth: int) -> None:
         """An input queue's occupancy changed (push or pop)."""
         index = self.emitted
         self.emitted = index + 1
-        ts = now_ps or 0
-        self.last_ts = ts
+        self.last_ts = now_ps
         if index % self.sample == self.sample_phase:
-            self._append((ts, QUEUE, name, depth))
+            self._append((now_ps, QUEUE, name, depth))
 
     def router_grant(
         self, name: str, now_ps: int, output_key: int, packet, contenders: int
@@ -362,35 +377,9 @@ class TraceRecorder:
 
     # -- dumps -------------------------------------------------------------
     def _event_to_record(self, event: tuple) -> Dict[str, object]:
-        ts, kind = event[0], event[1]
-        record: Dict[str, object] = {"ts": ts, "kind": KIND_LABELS[kind]}
-        if kind == LINK:
-            record.update(
-                link=event[2], ser_ps=event[3], arrival_ps=event[4],
-                pid=event[5], packet=PACKET_KIND_NAMES[event[6]], bits=event[7],
-            )
-        elif kind == QUEUE:
-            record.update(queue=event[2], depth=event[3])
-        elif kind == GRANT:
-            record.update(
-                router=event[2], output=event[3], pid=event[4],
-                packet=PACKET_KIND_NAMES[event[5]], contenders=event[6],
-            )
-        elif kind == MEM:
-            record.update(
-                controller=event[2], ready_ps=event[3], row_hit=event[4],
-                is_write=event[5],
-            )
-        elif kind == ENGINE:
-            record.update(callback=event[2])
-        elif kind == RETRY:
-            record.update(link=event[2], replays=event[3], retry_ps=event[4])
-        elif kind == FAULT:
-            record.update(a=event[2], b=event[3])
-        elif kind in (HOST_TIMEOUT, HOST_RETRY):
-            record.update(tid=event[2], attempt=event[3])
-        elif kind == HOST_SHED:
-            record.update(tid=event[2])
+        code = event[1]
+        record: Dict[str, object] = {"ts": event[0], "kind": KIND_LABELS[code]}
+        record.update(zip(_FIELDS[code], _fields(event)))
         return record
 
     def write_jsonl(

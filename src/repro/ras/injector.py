@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Tuple
 
 from repro.ras.plan import FaultPlan
-from repro.sim import Engine, RandomStream, StatsRegistry
+from repro.sim import Engine, RandomStream
+from repro.sim.stats import CounterBag
 
 
 class LinkFaultState:
@@ -33,7 +34,7 @@ class LinkFaultState:
         ber: float,
         retry_penalty_ps: int,
         max_replays: int,
-        stats: StatsRegistry,
+        stats: CounterBag,
     ) -> None:
         self.stream = stream
         self.ber = ber
@@ -53,7 +54,7 @@ class LinkFaultState:
         while replays < self.max_replays and rand() < p:
             replays += 1
         if replays:
-            self.stats.count("ras.crc_errors", replays)
+            self.stats.add("ras.crc_errors", replays)
         return replays
 
 
@@ -63,7 +64,7 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, root_seed: int) -> None:
         self.plan = plan
         self.root_seed = root_seed
-        self.stats = StatsRegistry()
+        self.stats = CounterBag()
         self._overrides: Dict[FrozenSet[int], float] = {
             frozenset((a, b)): rate for a, b, rate in plan.link_error_rates
         }
@@ -103,7 +104,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def counters(self) -> Dict[str, float]:
         """RAS counters for ``SimResult.extra`` (sorted, JSON-able)."""
-        return {name: float(v) for name, v in sorted(self.stats.counters.items())}
+        return {name: float(v) for name, v in self.stats.as_dict().items()}
 
 
 __all__: Tuple[str, ...] = ("FaultInjector", "LinkFaultState")

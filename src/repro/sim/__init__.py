@@ -9,7 +9,7 @@ as callbacks over this kernel.
 
 from repro.sim.engine import Engine
 from repro.sim.random import RandomStream, derive_seed
-from repro.sim.stats import Histogram, RunningStat, StatsRegistry
+from repro.sim.stats import Histogram, RunningStat
 
 __all__ = [
     "Engine",
@@ -17,5 +17,4 @@ __all__ = [
     "derive_seed",
     "Histogram",
     "RunningStat",
-    "StatsRegistry",
 ]

@@ -305,9 +305,8 @@ class TailAccumulator:
 class CounterBag:
     """Named integer counters with exact, order-invariant merging.
 
-    The streaming-aggregation counterpart of :class:`StatsRegistry`:
-    integer addition commutes exactly, so a bag folded in
-    any completion order holds identical values.  Non-integral amounts
+    Integer addition commutes exactly, so a bag folded in any
+    completion order holds identical values.  Non-integral amounts
     are rejected rather than silently truncated — fleet per-kind
     conservation (shard sums == fleet totals) only holds over exact
     arithmetic.
@@ -341,12 +340,3 @@ class CounterBag:
     def as_dict(self) -> Dict[str, int]:
         return {name: self.counts[name] for name in sorted(self.counts)}
 
-
-class StatsRegistry:
-    """Named event counters for one simulation (the RAS fault layer)."""
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, int] = {}
-
-    def count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount

@@ -366,8 +366,8 @@ class MemoryNetworkSystem:
         if not applied:
             return
         stats = self._ras.stats
-        stats.count("ras.link_failures", len(applied))
-        stats.count("ras.route_rebuilds")
+        stats.add("ras.link_failures", len(applied))
+        stats.add("ras.route_rebuilds")
         self._live_adjacency = self.topology.adjacency_by_class()
         self.route_table = RouteTable(
             self._live_adjacency,
@@ -405,11 +405,7 @@ class MemoryNetworkSystem:
                     continue
                 victims = set()
                 for packet in queue.packets():
-                    if not self._route_is_dead(packet):
-                        continue
-                    if self._reroute_packet(packet):
-                        self._ras.stats.count("ras.packets_rerouted")
-                    else:
+                    if not self._keep_routable(packet):
                         victims.add(packet)
                         self._drop_packet(engine, packet)
                 if victims:
@@ -419,11 +415,13 @@ class MemoryNetworkSystem:
                 # re-enter arbitration before the routers are kicked.
                 queue.refresh_head_key()
         # Queued-but-uninjected responses live outside the router queues.
+        # A response the sweep drops has no live path left; the
+        # host-side sweep that follows the quiesce fails its transaction.
         for cube in self.cubes.values():
             for controller in cube.controllers:
-                dropped = controller.sweep_responses(self._fix_or_drop_response)
+                dropped = controller.sweep_responses(self._keep_routable)
                 if dropped:
-                    self._ras.stats.count("ras.packets_dropped", dropped)
+                    self._ras.stats.add("ras.packets_dropped", dropped)
         for queue, count in drained:
             if queue.upstream_link is not None:
                 for _ in range(count):
@@ -431,15 +429,15 @@ class MemoryNetworkSystem:
             elif queue.on_drain is not None:
                 queue.on_drain(engine)
 
-    def _fix_or_drop_response(self, response: Packet) -> bool:
-        """Controller-buffer sweep predicate: keep (possibly rerouted)?"""
-        if not self._route_is_dead(response):
+    def _keep_routable(self, packet: Packet) -> bool:
+        """True when the packet's remaining route avoids every dead edge,
+        re-pathing (and counting) it if it did not; False when no live
+        path to its destination is left and the caller must drop it."""
+        if not self._route_is_dead(packet):
             return True
-        if self._reroute_packet(response):
-            self._ras.stats.count("ras.packets_rerouted")
+        if self._reroute_packet(packet):
+            self._ras.stats.add("ras.packets_rerouted")
             return True
-        # The host is unreachable from this cube; its transaction is
-        # failed by the host-side sweep that follows the quiesce.
         return False
 
     def _route_is_dead(self, packet: Packet) -> bool:
@@ -469,17 +467,14 @@ class MemoryNetworkSystem:
         """Delivery-time route check installed on every link after a
         failure.  Returns False when the packet was dropped (the link
         then swallows it and its queue slot is never consumed)."""
-        if not self._route_is_dead(packet):
-            return True
-        if self._reroute_packet(packet):
-            self._ras.stats.count("ras.packets_rerouted")
+        if self._keep_routable(packet):
             return True
         self._drop_packet(engine, packet)
         link.return_credit(engine)
         return False
 
     def _drop_packet(self, engine: Engine, packet: Packet) -> None:
-        self._ras.stats.count("ras.packets_dropped")
+        self._ras.stats.add("ras.packets_dropped")
         txn = packet.transaction
         if txn is not None and not txn.failed:
             # Request cut off from its cube, or response cut off from the
@@ -520,34 +515,26 @@ class MemoryNetworkSystem:
     # ------------------------------------------------------------------
     def _route_response(self, response: Packet) -> bool:
         kind = response.kind
-        if kind is PacketKind.P2P_XFER:
-            # The copied line travels cube -> cube over the read class;
-            # the path may transit the host router as a plain switch.
-            try:
-                response.route = list(
-                    self.route_table.route_between(
-                        response.src, response.dest, RouteClass.READ
-                    )
-                )
-            except RoutingError:
-                if self._ras is None:
-                    raise  # without a fault plan this is a wiring bug
-                self._ras.stats.count("ras.responses_unroutable")
-                return False
-            response.hop_index = 0
-            return True
-        cls = (
-            RouteClass.WRITE if kind == PacketKind.WRITE_ACK else RouteClass.READ
-        )
         try:
-            response.route = list(self.route_table.route_to_host(response.src, cls))
+            if kind is PacketKind.P2P_XFER:
+                # The copied line travels cube -> cube over the read
+                # class; the path may transit the host router as a plain
+                # switch.
+                route = self.route_table.route_between(
+                    response.src, response.dest, RouteClass.READ
+                )
+            else:
+                cls = RouteClass.WRITE if kind == PacketKind.WRITE_ACK else RouteClass.READ
+                route = self.route_table.route_to_host(response.src, cls)
         except RoutingError:
             if self._ras is None:
                 raise  # without a fault plan this is a wiring bug
-            # The host became unreachable from this cube; the response
-            # is lost and the host errors the transaction on its side.
-            self._ras.stats.count("ras.responses_unroutable")
+            # The destination became unreachable from this cube; the
+            # response is lost and the host errors the transaction on
+            # its side.
+            self._ras.stats.add("ras.responses_unroutable")
             return False
+        response.route = list(route)
         response.hop_index = 0
         return True
 

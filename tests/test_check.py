@@ -154,7 +154,7 @@ class TestHealthyAudits:
 class TestInjectedDefects:
     def _credited_link(self, system):
         for link, _kind in system._links:
-            if link.credits is not None and link.credits > 0:
+            if link.credits > 0:
                 return link
         raise AssertionError("no credited link in the system")
 

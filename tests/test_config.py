@@ -7,6 +7,7 @@ from repro.config import (
     NVM_LAST,
     CubeConfig,
     HostConfig,
+    InterposerLinkConfig,
     LinkConfig,
     PacketConfig,
     SystemConfig,
@@ -169,6 +170,30 @@ class TestValidation:
     def test_capacity_scale_positive(self):
         with pytest.raises(ConfigError):
             SystemConfig(capacity_scale=0.0).validate()
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(interposer_link=InterposerLinkConfig(lanes=0)), "interposer_link"),
+            (dict(interposer_link=InterposerLinkConfig(input_buffer_packets=0)),
+             "interposer_link"),
+            (dict(host=HostConfig(inject_queue_depth=0)), "inject_queue_depth"),
+            (dict(host=HostConfig(inject_queue_depth=-1)), "inject_queue_depth"),
+            (dict(cube=CubeConfig(controller_queue_depth=0)),
+             "controller_queue_depth"),
+            (dict(host=HostConfig(store_buffer_entries=0)),
+             "store_buffer_entries"),
+        ],
+        ids=[
+            "interposer-lanes", "interposer-buffer", "inject-depth-0",
+            "inject-depth-negative", "controller-depth", "store-buffer",
+        ],
+    )
+    def test_unrunnable_queue_and_link_sizes_rejected(self, overrides, field):
+        # Run anyway, each of these divides by zero or stalls the
+        # simulation.
+        with pytest.raises(ConfigError, match=field):
+            SystemConfig(**overrides).validate()
 
     def test_with_returns_modified_copy(self):
         config = SystemConfig()

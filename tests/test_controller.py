@@ -168,12 +168,12 @@ class TestBackpressure:
         blocker.route = [1, 99]
         blocker.hop_index = 0  # at node 1, bound for the refusing output
 
-        h.inject.push(blocker)  # occupies the single slot
+        h.inject.push(blocker, h.engine.now)  # occupies the single slot
         h.send(make_request(row=5))
         h.engine.run(until=ns(1000))
         assert h.controller.pending_responses == 1
         # draining the queue lets the response through
-        h.inject.pop()
+        h.inject.pop(h.engine.now)
         h.controller._inject_drained(h.engine)
         h.engine.run()
         assert h.controller.pending_responses == 0

@@ -31,37 +31,31 @@ class TestInputQueue:
     def test_fifo_order(self):
         queue = InputQueue("q", 4)
         a, b = make_packet(), make_packet()
-        queue.push(a)
-        queue.push(b)
+        queue.push(a, now_ps=0)
+        queue.push(b, now_ps=0)
         assert queue.head() is a
-        assert queue.pop() is a
-        assert queue.pop() is b
+        assert queue.pop(now_ps=0) is a
+        assert queue.pop(now_ps=0) is b
 
     def test_capacity_enforced(self):
         queue = InputQueue("q", 1)
-        queue.push(make_packet())
+        queue.push(make_packet(), now_ps=0)
         assert not queue.has_space()
         with pytest.raises(SimulationError):
-            queue.push(make_packet())
-
-    def test_infinite_queue(self):
-        queue = InputQueue("q", None)
-        for _ in range(100):
-            queue.push(make_packet())
-        assert queue.has_space()
+            queue.push(make_packet(), now_ps=0)
 
     def test_empty_access_raises(self):
         queue = InputQueue("q", 1)
         with pytest.raises(SimulationError):
             queue.head()
         with pytest.raises(SimulationError):
-            queue.pop()
+            queue.pop(now_ps=0)
 
     def test_peak_occupancy(self):
         queue = InputQueue("q", 4)
-        queue.push(make_packet())
-        queue.push(make_packet())
-        queue.pop()
+        queue.push(make_packet(), now_ps=0)
+        queue.push(make_packet(), now_ps=0)
+        queue.pop(now_ps=0)
         assert queue.peak_occupancy == 2
 
 
@@ -125,7 +119,7 @@ class TestCredits:
         link, queue = make_link(capacity=1)
         link.send(engine, make_packet())
         engine.run()
-        queue.pop()
+        queue.pop(engine.now)
         link.return_credit(engine)
         assert link.credits == 1
 
@@ -216,10 +210,3 @@ class TestQueueWaitTracking:
         assert queue.total_wait_ps == (300 - 100) + (400 - 150)
         assert queue.popped == 2
         assert queue.mean_wait_ps == 225.0
-
-    def test_untimed_operations_ignored(self):
-        queue = InputQueue("q", 4)
-        queue.push(make_packet())
-        queue.pop()
-        assert queue.popped == 0
-        assert queue.mean_wait_ps == 0.0

@@ -38,7 +38,7 @@ class TestLocalDelivery:
         queue = InputQueue("in", 4)
         router.add_input(queue)
         packet = make_packet(PacketKind.READ_REQ, [0])
-        queue.push(packet)
+        queue.push(packet, now_ps=0)
         router.packet_arrived(engine, queue)
         assert delivered == [packet]
 
@@ -53,7 +53,7 @@ class TestLocalDelivery:
         )
         queue = InputQueue("in", 4)
         router.add_input(queue)
-        queue.push(make_packet(PacketKind.READ_REQ, [0]))
+        queue.push(make_packet(PacketKind.READ_REQ, [0]), now_ps=0)
         router.packet_arrived(engine, queue)
         assert delivered == []
         space[0] = True
@@ -75,7 +75,7 @@ class TestForwarding:
 
     def test_forwards_packet_over_link(self):
         engine, router, queue, link, downstream = self.wire()
-        queue.push(make_packet(PacketKind.READ_REQ, [0, 1]))
+        queue.push(make_packet(PacketKind.READ_REQ, [0, 1]), now_ps=0)
         router.packet_arrived(engine, queue)
         engine.run()
         assert len(downstream) == 1
@@ -83,7 +83,7 @@ class TestForwarding:
     def test_serializes_back_to_back_packets(self):
         engine, router, queue, link, downstream = self.wire()
         for _ in range(3):
-            queue.push(make_packet(PacketKind.READ_REQ, [0, 1], size_bits=640))
+            queue.push(make_packet(PacketKind.READ_REQ, [0, 1], size_bits=640), now_ps=0)
             router.packet_arrived(engine, queue)  # once per push, like Link
         engine.run()
         assert len(downstream) == 3
@@ -92,21 +92,21 @@ class TestForwarding:
 
     def test_blocks_when_downstream_full_and_resumes_on_credit(self):
         engine, router, queue, link, downstream = self.wire(capacity=1)
-        queue.push(make_packet(PacketKind.READ_REQ, [0, 1]))
+        queue.push(make_packet(PacketKind.READ_REQ, [0, 1]), now_ps=0)
         router.packet_arrived(engine, queue)
-        queue.push(make_packet(PacketKind.READ_REQ, [0, 1]))
+        queue.push(make_packet(PacketKind.READ_REQ, [0, 1]), now_ps=0)
         router.packet_arrived(engine, queue)
         engine.run()
         assert len(downstream) == 1
         assert len(queue) == 1  # second packet blocked on credit
-        downstream.pop()
+        downstream.pop(engine.now)
         link.return_credit(engine)
         engine.run()
         assert len(downstream) == 1  # second packet arrived
 
     def test_unknown_output_raises(self):
         engine, router, queue, link, _ = self.wire()
-        queue.push(make_packet(PacketKind.READ_REQ, [0, 9]))
+        queue.push(make_packet(PacketKind.READ_REQ, [0, 9]), now_ps=0)
         with pytest.raises(SimulationError):
             router.packet_arrived(engine, queue)
 
@@ -122,28 +122,11 @@ class TestResponsePriority:
         response_q = InputQueue("resp", 4)
         router.add_input(request_q)
         router.add_input(response_q)
-        request_q.push(make_packet(PacketKind.READ_REQ, [0, 1]))
-        response_q.push(make_packet(PacketKind.READ_RESP, [0, 1]))
+        request_q.push(make_packet(PacketKind.READ_REQ, [0, 1]), now_ps=0)
+        response_q.push(make_packet(PacketKind.READ_RESP, [0, 1]), now_ps=0)
         router.kick(engine)
         engine.run()
-        assert downstream.pop().kind == PacketKind.READ_RESP
-
-    def test_priority_can_be_disabled(self):
-        engine = Engine()
-        router = Router(0, "r", rr_factory, response_priority=False)
-        downstream = InputQueue("down", 8)
-        link = Link("L", LinkConfig(input_buffer_packets=8), downstream)
-        router.add_output(1, LinkOutput(link))
-        request_q = InputQueue("req", 4)
-        response_q = InputQueue("resp", 4)
-        router.add_input(request_q)
-        router.add_input(response_q)
-        request_q.push(make_packet(PacketKind.READ_REQ, [0, 1]))
-        response_q.push(make_packet(PacketKind.READ_RESP, [0, 1]))
-        router.kick(engine)
-        engine.run()
-        # round-robin from pointer 0 picks the request queue first
-        assert downstream.pop().kind == PacketKind.READ_REQ
+        assert downstream.pop(engine.now).kind == PacketKind.READ_RESP
 
 
 class TestResponsePeek:
@@ -152,7 +135,7 @@ class TestResponsePeek:
         queue = InputQueue("in", 4)
         router.add_input(queue)
         assert not router.has_response_head(1)
-        queue.push(make_packet(PacketKind.READ_RESP, [0, 1]))
+        queue.push(make_packet(PacketKind.READ_RESP, [0, 1]), now_ps=0)
         assert router.has_response_head(1)
         assert not router.has_response_head(2)
 
@@ -161,11 +144,11 @@ class TestResponsePeek:
         stale, live = InputQueue("stale", 4), InputQueue("live", 4)
         router.add_input(stale)
         router.add_input(live)
-        stale.push(make_packet(PacketKind.READ_RESP, [0, 1]))
+        stale.push(make_packet(PacketKind.READ_RESP, [0, 1]), now_ps=0)
         stale._items.clear()  # emptied behind pop()'s back: head_key stays 1
         assert stale.head_key == 1
         assert not router.has_response_head(1)
-        live.push(make_packet(PacketKind.READ_RESP, [0, 1]))
+        live.push(make_packet(PacketKind.READ_RESP, [0, 1]), now_ps=0)
         assert router.has_response_head(1)
 
 

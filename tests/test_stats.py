@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.stats import Histogram, RunningStat, StatsRegistry
+from repro.sim.stats import Histogram, RunningStat
 
 
 class TestRunningStat:
@@ -166,11 +166,3 @@ class TestHistogram:
             base.merge(Histogram(bucket_width=5, num_buckets=4))
         with pytest.raises(ValueError, match="different shapes"):
             base.merge(Histogram(bucket_width=10, num_buckets=8))
-
-
-class TestStatsRegistry:
-    def test_counters(self):
-        reg = StatsRegistry()
-        reg.count("hits")
-        reg.count("hits", 2)
-        assert reg.counters == {"hits": 3}
