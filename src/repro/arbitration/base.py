@@ -59,7 +59,6 @@ class OutputArbiter(abc.ABC):
 
     def __init__(self, context: ArbiterContext) -> None:
         self.context = context
-        self.grants = 0
 
     @abc.abstractmethod
     def pick(self, now_ps: int, candidates: List[Candidate]) -> int:

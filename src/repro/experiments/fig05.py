@@ -44,7 +44,7 @@ def _merge_segments(results: Sequence[SimResult]) -> Dict[str, Histogram]:
             into = merged.get(label)
             if into is None:
                 into = merged[label] = Histogram(
-                    hist.bucket_width, len(hist.buckets)
+                    hist.bucket_width, hist.num_buckets
                 )
             into.merge(hist)
     return merged

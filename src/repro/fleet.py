@@ -181,10 +181,15 @@ class FleetConfig:
     def compile(self) -> List[SimJob]:
         """Per-shard :class:`SimJob`\\ s, each independently cacheable."""
         tenants = self.shard_tenants()
+        # One WorkloadSpec per tenant, shared by its shards, so the
+        # canonical-JSON identity memo encodes each workload once.
+        workloads = {
+            tenant: tenant.apply(self.workload) for tenant in self.tenants
+        }
         return [
             SimJob(
                 config=replace(self.shards[i], seed=self.shard_seed(i)),
-                workload=tenants[i].apply(self.workload),
+                workload=workloads[tenants[i]],
                 requests=self.requests_per_shard,
             )
             for i in range(self.num_shards)

@@ -176,10 +176,5 @@ class InputQueue:
         self.refresh_head_key()
         return removed
 
-    @property
-    def mean_wait_ps(self) -> float:
-        """Mean time packets spent waiting in this queue."""
-        return self.total_wait_ps / self.popped if self.popped else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"InputQueue({self.name}, {len(self._items)}/{self.capacity})"

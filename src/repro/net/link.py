@@ -283,7 +283,7 @@ class Link:
         engine.schedule_bound(arrival_delay, self._deliver, (packet,))
 
     def _deliver(self, engine: Engine, packet: Packet) -> None:
-        # Packet.advance, inlined
+        # The packet has crossed one more hop of its route.
         packet.hop_index += 1
         packet.hops_traversed += 1
         guard = self.route_guard

@@ -139,10 +139,6 @@ class Packet:
     def current_node(self) -> int:
         return self.route[self.hop_index]
 
-    def advance(self) -> None:
-        self.hop_index += 1
-        self.hops_traversed += 1
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Packet(#{self.pid} {self.kind.name} addr=0x{self.address:x} "

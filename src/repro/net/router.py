@@ -247,7 +247,6 @@ class Router:
             popped = queue.pop(now)
             if popped is not packet:
                 raise SimulationError("arbiter must select queue heads")
-            arbiter.grants += 1
             grants[key] += 1
             if self.tracer is not None:
                 self.tracer.router_grant(self.name, now, key, packet, len(candidates))

@@ -162,7 +162,7 @@ def rollup(
         key = category_of(label)
         into = merged.get(key)
         if into is None:
-            into = merged[key] = Histogram(hist.bucket_width, len(hist.buckets))
+            into = merged[key] = Histogram(hist.bucket_width, hist.num_buckets)
         into.merge(hist)
     return merged
 

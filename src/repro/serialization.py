@@ -114,12 +114,13 @@ def _stat_from_state(state: Dict[str, object]) -> RunningStat:
 
 
 def _hist_to_state(hist: Histogram) -> Dict[str, object]:
-    # Buckets are stored sparsely as [index, count] pairs: latency
-    # histograms have 1024 buckets of which a handful are populated.
+    # Buckets are stored sparsely as [index, count] pairs in index order:
+    # latency histograms have 1024 buckets of which a handful are filled.
+    buckets = hist.buckets
     return {
         "bucket_width": hist.bucket_width,
-        "num_buckets": len(hist.buckets),
-        "buckets": [[i, n] for i, n in enumerate(hist.buckets) if n],
+        "num_buckets": hist.num_buckets,
+        "buckets": [[i, buckets[i]] for i in sorted(buckets)],
         "underflow": hist.underflow,
         "overflow": hist.overflow,
         "stat": _stat_to_state(hist.stat),
@@ -131,19 +132,26 @@ def _hist_from_state(state: Dict[str, object]) -> Histogram:
     size = state["num_buckets"]
     if not (width > 0 and size > 0):
         raise ValueError("bucket_width and num_buckets must be positive")
-    buckets = [0] * size
+    pairs = state["buckets"]
     try:
-        for index, n in state["buckets"]:
-            # A negative index would silently count from the end.
-            if index < 0:
-                raise ValueError(f"bucket index {index!r} outside [0, {size})")
-            if type(n) is not int or n < 0:
-                raise ValueError(f"bucket count {n!r} is not a non-negative integer")
-            buckets[index] = n
-    except IndexError:
-        raise ValueError(f"a bucket index is outside [0, {size})") from None
+        buckets = dict(pairs)
+    except TypeError:
+        raise ValueError("bucket pairs are not [index, count] pairs") from None
+    # Every check runs over the whole dict at C level.  Types first: a
+    # float, bool or string index or count would otherwise hash, compare
+    # or add as if it were the integer it resembles.
+    if len(buckets) != len(pairs):
+        raise ValueError("a bucket index appears twice")
+    if buckets:
+        if not {*map(type, buckets), *map(type, buckets.values())} <= {int}:
+            raise ValueError("a bucket index or count is not an integer")
+        if min(buckets) < 0 or max(buckets) >= size:
+            raise ValueError(f"a bucket index is outside [0, {size})")
+        if min(buckets.values()) <= 0:
+            raise ValueError("a bucket count is not positive")
     hist = Histogram.__new__(Histogram)
     hist.bucket_width = width
+    hist.num_buckets = size
     hist.buckets = buckets
     hist.underflow = state["underflow"]
     hist.overflow = state["overflow"]

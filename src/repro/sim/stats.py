@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-import operator
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 
 class HistogramShapeError(ValueError):
@@ -81,6 +80,31 @@ class RunningStat:
         return f"RunningStat(n={self.count}, mean={self.mean:.2f})"
 
 
+def _add_buckets(into: Dict[int, int], other: Mapping[int, int]) -> None:
+    """Add ``other``'s sparse counts into ``into``; ``other`` is only read."""
+    if not into:
+        into.update(other)
+        return
+    get = into.get
+    for index, n in other.items():
+        into[index] = get(index, 0) + n
+
+
+def _bucket_midpoint(
+    buckets: Mapping[int, int], bucket_width: float, seen: int, target: float
+) -> Optional[float]:
+    """Midpoint of the bucket where the running count reaches ``target``.
+
+    ``seen`` is the count below bucket 0 (the underflow).  ``None`` when
+    the target lies past the last filled bucket, among the overflow.
+    """
+    for index in sorted(buckets):
+        seen += buckets[index]
+        if seen >= target:
+            return (index + 0.5) * bucket_width
+    return None
+
+
 class Histogram:
     """Fixed-width bucket histogram with underflow and overflow counters.
 
@@ -89,15 +113,23 @@ class Histogram:
     bucketed range land in ``overflow``.  Both are part of ``count`` and
     both participate in :meth:`percentile`, which clamps out-of-range
     answers to the observed extremes instead of fabricating a midpoint.
+
+    ``buckets`` is sparse: a ``{index: count}`` dict holding only the
+    filled buckets (every count > 0).  Latency histograms have 1,024
+    buckets of which a few dozen fill, so an empty histogram costs one
+    empty dict, not a list of zeros.
     """
 
-    __slots__ = ("bucket_width", "buckets", "underflow", "overflow", "stat")
+    __slots__ = (
+        "bucket_width", "num_buckets", "buckets", "underflow", "overflow", "stat"
+    )
 
     def __init__(self, bucket_width: float, num_buckets: int = 64) -> None:
         if bucket_width <= 0 or num_buckets <= 0:
             raise ValueError("bucket_width and num_buckets must be positive")
         self.bucket_width = bucket_width
-        self.buckets = [0] * num_buckets
+        self.num_buckets = num_buckets
+        self.buckets: Dict[int, int] = {}
         self.underflow = 0
         self.overflow = 0
         self.stat = RunningStat()
@@ -110,8 +142,9 @@ class Histogram:
             self.underflow += 1
             return
         index = int(value / self.bucket_width)
-        if index < len(self.buckets):
-            self.buckets[index] += 1
+        if index < self.num_buckets:
+            buckets = self.buckets
+            buckets[index] = buckets.get(index, 0) + 1
         else:
             self.overflow += 1
 
@@ -136,16 +169,16 @@ class Histogram:
         if self.count == 0:
             return 0.0, False
         target = fraction * self.count
-        seen = self.underflow
-        if self.underflow and seen >= target:
+        if self.underflow and self.underflow >= target:
             return float(self.stat.min), True
-        for i, n in enumerate(self.buckets):
-            seen += n
-            if seen >= target:
-                return (i + 0.5) * self.bucket_width, False
-        # The percentile sits among overflowed samples: clamp to the
-        # largest value actually observed instead of inventing one.
-        return float(self.stat.max), True
+        value = _bucket_midpoint(
+            self.buckets, self.bucket_width, self.underflow, target
+        )
+        if value is None:
+            # The percentile sits among overflowed samples: clamp to the
+            # largest value actually observed instead of inventing one.
+            return float(self.stat.max), True
+        return value, False
 
     def merge(self, other: "Histogram") -> None:
         """Fold another histogram into this one (bucket-wise).
@@ -155,14 +188,14 @@ class Histogram:
         """
         if (
             other.bucket_width != self.bucket_width
-            or len(other.buckets) != len(self.buckets)
+            or other.num_buckets != self.num_buckets
         ):
             raise HistogramShapeError(
                 f"cannot merge histograms with different shapes: "
-                f"{self.bucket_width}x{len(self.buckets)} vs "
-                f"{other.bucket_width}x{len(other.buckets)}"
+                f"{self.bucket_width}x{self.num_buckets} vs "
+                f"{other.bucket_width}x{other.num_buckets}"
             )
-        self.buckets = list(map(operator.add, self.buckets, other.buckets))
+        _add_buckets(self.buckets, other.buckets)
         self.underflow += other.underflow
         self.overflow += other.overflow
         self.stat.merge(other.stat)
@@ -179,11 +212,13 @@ class TailAccumulator:
     *exactly* commutative parts — integer bucket counts, min/max
     comparisons, and a running total that stays exact for the simulator's
     integer-valued picosecond samples — so any fold order over any
-    partition of the same histograms produces the same state.
+    partition of the same histograms produces the same state.  Buckets
+    are sparse, as in :class:`Histogram`.
 
-    An accumulator starts shapeless and adopts the shape of the first
-    histogram folded into it; a later histogram with different bin edges
-    raises :class:`HistogramShapeError`.
+    An accumulator starts shapeless (``bucket_width`` None,
+    ``num_buckets`` 0) and adopts the shape of the first histogram
+    folded into it; a later histogram with different bin edges raises
+    :class:`HistogramShapeError`.
 
     Percentiles mirror :meth:`Histogram.percentile_detail` (bucket
     midpoints, tails clamped to observed extremes) with one deliberate
@@ -194,6 +229,7 @@ class TailAccumulator:
 
     __slots__ = (
         "bucket_width",
+        "num_buckets",
         "buckets",
         "underflow",
         "overflow",
@@ -205,7 +241,8 @@ class TailAccumulator:
 
     def __init__(self) -> None:
         self.bucket_width: Optional[float] = None
-        self.buckets: List[int] = []
+        self.num_buckets = 0
+        self.buckets: Dict[int, int] = {}
         self.underflow = 0
         self.overflow = 0
         self.count = 0
@@ -220,12 +257,12 @@ class TailAccumulator:
     def _adopt_or_check(self, bucket_width: float, num_buckets: int) -> None:
         if self.bucket_width is None:
             self.bucket_width = bucket_width
-            self.buckets = [0] * num_buckets
+            self.num_buckets = num_buckets
             return
-        if bucket_width != self.bucket_width or num_buckets != len(self.buckets):
+        if bucket_width != self.bucket_width or num_buckets != self.num_buckets:
             raise HistogramShapeError(
                 f"cannot fold histograms with different shapes: "
-                f"{self.bucket_width}x{len(self.buckets)} vs "
+                f"{self.bucket_width}x{self.num_buckets} vs "
                 f"{bucket_width}x{num_buckets}"
             )
 
@@ -244,8 +281,8 @@ class TailAccumulator:
             # Shapeless empties stay shapeless: an empty shard must not
             # pin the fleet to its (arbitrary) bucket geometry either.
             return
-        self._adopt_or_check(hist.bucket_width, len(hist.buckets))
-        self.buckets = list(map(operator.add, self.buckets, hist.buckets))
+        self._adopt_or_check(hist.bucket_width, hist.num_buckets)
+        _add_buckets(self.buckets, hist.buckets)
         self.underflow += hist.underflow
         self.overflow += hist.overflow
         self.count += hist.stat.count
@@ -255,8 +292,8 @@ class TailAccumulator:
         """Fold another accumulator in (same exactness guarantees)."""
         if other.count == 0:
             return
-        self._adopt_or_check(other.bucket_width, len(other.buckets))
-        self.buckets = list(map(operator.add, self.buckets, other.buckets))
+        self._adopt_or_check(other.bucket_width, other.num_buckets)
+        _add_buckets(self.buckets, other.buckets)
         self.underflow += other.underflow
         self.overflow += other.overflow
         self.count += other.count
@@ -278,21 +315,20 @@ class TailAccumulator:
         if self.count == 0:
             return None
         target = fraction * self.count
-        seen = self.underflow
-        if self.underflow and seen >= target:
+        if self.underflow and self.underflow >= target:
             return float(self.min)
-        for i, n in enumerate(self.buckets):
-            seen += n
-            if seen >= target:
-                return (i + 0.5) * self.bucket_width
-        return float(self.max)
+        value = _bucket_midpoint(
+            self.buckets, self.bucket_width, self.underflow, target
+        )
+        return float(self.max) if value is None else value
 
     def state(self) -> Dict[str, object]:
         """Canonical JSON-able dump (sparse buckets), for fleet digests."""
+        buckets = self.buckets
         return {
             "bucket_width": self.bucket_width,
-            "num_buckets": len(self.buckets),
-            "buckets": [[i, n] for i, n in enumerate(self.buckets) if n],
+            "num_buckets": self.num_buckets,
+            "buckets": [[i, buckets[i]] for i in sorted(buckets)],
             "underflow": self.underflow,
             "overflow": self.overflow,
             "count": self.count,

@@ -1,5 +1,7 @@
 """Tests for the energy model and result aggregation."""
 
+import tracemalloc
+
 import pytest
 
 from repro.config import EnergyConfig, PacketConfig, dram_tech, nvm_tech
@@ -110,6 +112,19 @@ class TestCollector:
         collector.add(finished_txn(done=500))
         collector.add(finished_txn(done=300))
         assert collector.last_complete_ps == 500
+
+    def test_empty_collector_allocates_no_bucket_arrays(self):
+        # 16 latency histograms of 1,024 buckets: stored densely they
+        # would take about 132 KB before the first sample.
+        TransactionCollector()
+        tracemalloc.start()
+        try:
+            collector = TransactionCollector()
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert collector.count == 0
+        assert size < 10 * 1024
 
 
 def make_result(runtime_ps=1000, label="100%-C", workload="TEST"):

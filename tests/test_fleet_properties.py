@@ -96,31 +96,35 @@ def test_tail_accumulator_matches_single_histogram(values):
 
 
 # --- bucket folds ----------------------------------------------------------
-def _reference_fold(buckets, other):
-    """Per-bucket loop: what the folds computed before they went C-level."""
-    out = list(buckets)
-    for i, n in enumerate(other):
-        if n:
-            out[i] += n
+def _reference_fold(dense, hist):
+    """Per-bucket loop over a dense list: what the folds computed before
+    buckets went sparse."""
+    out = list(dense)
+    for i, n in hist.buckets.items():
+        out[i] += n
     return out
+
+
+def _sparse(dense):
+    return {i: n for i, n in enumerate(dense) if n}
 
 
 @given(st.lists(samples, min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_bucket_folds_equal_per_bucket_loop(shards):
     hists = [_histogram(values) for values in shards]
-    expected = [0] * len(hists[0].buckets)
+    expected = [0] * hists[0].num_buckets
     acc, merged = TailAccumulator(), _histogram([])
     for hist in hists:
-        expected = _reference_fold(expected, hist.buckets)
+        expected = _reference_fold(expected, hist)
         acc.fold(hist)
         merged.merge(hist)
-        assert acc.buckets == expected
-        assert merged.buckets == expected
+        assert acc.buckets == _sparse(expected)
+        assert merged.buckets == _sparse(expected)
     whole = TailAccumulator()
     whole.merge(acc)
-    assert whole.buckets == expected
-    assert all(type(n) is int for n in whole.buckets)
+    assert whole.buckets == _sparse(expected)
+    assert all(type(i) is int and type(n) is int for i, n in whole.buckets.items())
 
 
 def test_fold_does_not_alias_source_buckets():
@@ -131,10 +135,12 @@ def test_fold_does_not_alias_source_buckets():
     into.merge(acc)
     hist = _histogram([])
     hist.merge(source)
-    before = list(acc.buckets)
+    before = dict(acc.buckets)
+    assert before == {0: 1, 1: 2}
     source.buckets[1] += 5
+    source.buckets[9] = 1
     acc.buckets[0] += 7
-    assert acc.buckets == [before[0] + 7] + before[1:]
+    assert acc.buckets == {**before, 0: before[0] + 7}
     assert into.buckets == before
     assert hist.buckets == before
 
@@ -160,10 +166,10 @@ def test_empty_fold_keeps_accumulator_shapeless():
     acc = TailAccumulator()
     acc.fold(_histogram([], bucket_width=7.0, num_buckets=3))
     acc.merge(TailAccumulator())
-    assert not acc.shaped and acc.buckets == []
+    assert not acc.shaped and acc.buckets == {} and acc.num_buckets == 0
     # The first non-empty histogram still sets the shape.
     acc.fold(_histogram([10]))
-    assert acc.bucket_width == 100.0 and len(acc.buckets) == 16
+    assert acc.bucket_width == 100.0 and acc.num_buckets == 16
 
 
 # --- percentile monotonicity -----------------------------------------------

@@ -209,4 +209,3 @@ class TestQueueWaitTracking:
         queue.pop(now_ps=400)
         assert queue.total_wait_ps == (300 - 100) + (400 - 150)
         assert queue.popped == 2
-        assert queue.mean_wait_ps == 225.0

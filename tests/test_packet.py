@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.config import PacketConfig
+from repro.config import LinkConfig, PacketConfig
+from repro.net.buffers import InputQueue
+from repro.net.link import Link
 from repro.net.packet import (
     KIND_NAMES,
     KIND_P2P,
@@ -13,6 +15,7 @@ from repro.net.packet import (
     Transaction,
 )
 from repro.net.pool import PacketPool
+from repro.sim.engine import Engine
 
 
 class TestPacketKind:
@@ -48,15 +51,21 @@ class TestPacketRoute:
         return packet
 
     def test_route_walk(self):
+        # Each link delivery moves the packet one hop along its route.
         packet = self.make()
         assert packet.current_node == 0
         assert packet.route[packet.hop_index + 1] == 1
-        packet.advance()
-        packet.advance()
-        packet.advance()
+        engine = Engine()
+        queue = InputQueue("q", 1)
+        link = Link("L", LinkConfig(input_buffer_packets=1), queue)
+        for hop in (1, 2, 3):
+            link.send(engine, packet)
+            engine.run()
+            assert queue.pop(engine.now) is packet
+            link.return_credit(engine)
+            assert packet.hop_index == packet.hops_traversed == hop
+            assert packet.current_node == hop
         assert packet.hop_index == len(packet.route) - 1
-        assert packet.current_node == 3
-        assert packet.hops_traversed == 3
 
     def test_unique_ids(self):
         a = Packet(PacketKind.READ_REQ, 0, 0, 1, 8, 0)

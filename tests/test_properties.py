@@ -196,7 +196,7 @@ def _hist(samples):
 
 def _hist_key(hist):
     """The exact (non-Welford) state of a histogram."""
-    return (tuple(hist.buckets), hist.underflow, hist.overflow, hist.count)
+    return (hist.buckets, hist.underflow, hist.overflow, hist.count)
 
 
 def _assert_hist_equal(left, right):
@@ -256,9 +256,12 @@ def test_histogram_binning_partitions_samples(samples):
     beyond = sum(1 for s in samples if s >= _HIST_WIDTH * _HIST_BUCKETS)
     assert hist.underflow == negatives
     assert hist.overflow == beyond
-    assert sum(hist.buckets) + hist.underflow + hist.overflow == len(samples)
+    assert sum(hist.buckets.values()) + hist.underflow + hist.overflow == len(
+        samples
+    )
+    assert all(0 <= i < _HIST_BUCKETS and n > 0 for i, n in hist.buckets.items())
     in_first = sum(1 for s in samples if 0 <= s < _HIST_WIDTH)
-    assert hist.buckets[0] == in_first
+    assert hist.buckets.get(0, 0) == in_first
 
 
 # --- RAS seed determinism ----------------------------------------------------

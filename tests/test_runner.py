@@ -303,8 +303,16 @@ class TestResultCache:
 
     @pytest.mark.parametrize(
         "pair",
-        [[1024, 1], [-1, 1], [3, -2], [3, 1.5]],
-        ids=["index-past-end", "negative-index", "negative-count", "float-count"],
+        [[1024, 1], [-1, 1], [3, -2], [3, 1.5], [3.0, 1], [True, 1], [3, 0]],
+        ids=[
+            "index-past-end",
+            "negative-index",
+            "negative-count",
+            "float-count",
+            "float-index",
+            "bool-index",
+            "zero-count",
+        ],
     )
     def test_bad_bucket_pair_is_a_miss(self, tmp_path, pair):
         # An out-of-range index used to raise IndexError out of get()

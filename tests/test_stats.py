@@ -73,7 +73,9 @@ class TestHistogram:
         hist = Histogram(bucket_width=10, num_buckets=4)
         for value in (0, 5, 15, 35):
             hist.add(value)
-        assert hist.buckets == [2, 1, 0, 1]
+        # Sparse: only the filled buckets are stored.
+        assert hist.buckets == {0: 2, 1: 1, 3: 1}
+        assert hist.num_buckets == 4
         assert hist.overflow == 0
 
     def test_overflow(self):
@@ -109,7 +111,7 @@ class TestHistogram:
         hist.add(-25)
         hist.add(3)
         assert hist.underflow == 2
-        assert hist.buckets == [1, 0, 0, 0]
+        assert hist.buckets == {0: 1}
         assert hist.count == 3
 
     def test_percentile_in_underflow_clamps_to_min(self):
@@ -153,7 +155,7 @@ class TestHistogram:
             b.add(value)
             c.add(value)
         a.merge(b)
-        assert a.buckets == c.buckets
+        assert a.buckets == c.buckets == {0: 2, 1: 1}
         assert a.underflow == c.underflow
         assert a.overflow == c.overflow
         assert a.count == c.count
