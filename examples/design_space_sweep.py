@@ -12,7 +12,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import SystemConfig, get_workload, simulate
+from repro import get_workload, simulate
 from repro.serialization import save_results
 from repro.sweep import Sweep
 from repro.units import ns

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.tables import render_table
+from repro.obs.tracing import serializing_ps
 from repro.topology.base import LinkKind
 
 
@@ -20,8 +21,8 @@ class LinkStats:
     kind: str
     packets: int
     bits: int
-    busy_ps: int
-    utilization: float  # busy time / runtime
+    busy_ps: int  # serialization time, CRC replays excluded
+    utilization: float  # busy_ps / runtime
 
 
 @dataclass(frozen=True)
@@ -47,14 +48,15 @@ def link_stats(system, runtime_ps: int = 0) -> List[LinkStats]:
     runtime = runtime_ps or max(system.collector.last_complete_ps, 1)
     stats = []
     for link, kind in system._links:
+        busy_ps = serializing_ps(link)
         stats.append(
             LinkStats(
                 name=link.name,
                 kind="interposer" if kind == LinkKind.INTERPOSER else "external",
                 packets=link.packets_carried,
                 bits=link.bits_carried,
-                busy_ps=link.busy_ps,
-                utilization=min(link.busy_ps / runtime, 1.0),
+                busy_ps=busy_ps,
+                utilization=busy_ps / runtime,
             )
         )
     return stats

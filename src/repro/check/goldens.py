@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import VALID_ARBITERS, SystemConfig
+from repro.config import P2P_NEIGHBOR, P2P_SHUFFLE, VALID_ARBITERS, SystemConfig
 from repro.runner.job import digest_tree
 from repro.serialization import result_digest
 from repro.units import GIB_BYTES
@@ -171,6 +171,27 @@ def matrix_cases() -> List[MatrixCase]:
             host=replace(read_priority.host, read_priority_injection=True)
         ),
         _hot_write_workload(),
+    ))
+    # Paths the cases above never reach, each pinned against its base:
+    # FR-FCFS lets a ready request bypass a blocked controller head; the
+    # shuffle and neighbor patterns copy to the farthest rotation and to
+    # the next cube; and an 8-entry hysteresis window fills at this
+    # scale, so the port toggles write-burst mode (fig12's 64-entry
+    # window never fills at the experiment corpus's scale).
+    skiplist = _matrix_config(topology="skiplist")
+    cases.append((
+        "skiplist/frfcfs",
+        skiplist.with_(cube=replace(skiplist.cube, scheduling="frfcfs")),
+        None,
+    ))
+    for pattern in (P2P_SHUFFLE, P2P_NEIGHBOR):
+        cases.append((
+            f"p2p/{pattern}", p2p_base.with_(p2p_pattern=pattern), p2p
+        ))
+    cases.append((
+        "skiplist/hysteresis",
+        skiplist.with_(write_skip_hysteresis=True, hysteresis_window=8),
+        None,
     ))
     return cases
 

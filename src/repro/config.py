@@ -125,13 +125,6 @@ class MemTechConfig:
         if self.needs_refresh and self.refresh_interval_ps <= 0:
             raise ConfigError(f"{self.name}: refreshing tech needs an interval")
 
-    # convenience latencies -------------------------------------------------
-    def row_hit_read_ps(self) -> int:
-        return self.tcl_ps
-
-    def row_miss_read_ps(self) -> int:
-        return self.trp_ps + self.trcd_ps + self.tcl_ps
-
     def write_recovery_ps(self) -> int:
         """Bank occupancy after a write completes (dominant for PCM)."""
         return self.twr_ps

@@ -73,57 +73,6 @@ class ExperimentOutput:
                     return value  # type: ignore[return-value]
         return {}
 
-    def save_csv(self, path) -> None:
-        """Write the primary series as CSV (rows x columns)."""
-        import csv
-        from pathlib import Path
-
-        series = self.series()
-        with Path(path).open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            if not series:
-                writer.writerow(["experiment", self.experiment_id])
-                return
-            labels = {str(col) for row in series.values() for col in row}
-            columns = _sorted_columns(labels)
-            writer.writerow([self.experiment_id] + columns)
-            for row_name, row in series.items():
-                writer.writerow(
-                    [row_name]
-                    + [
-                        _csv_cell(row.get(col, row.get(_maybe_num(col), "")))
-                        for col in columns
-                    ]
-                )
-
-
-def _sorted_columns(labels):
-    """Column order for CSV export.
-
-    Ablation sweeps label columns with numbers (window sizes 2, 10,
-    16, ...); sorting those as strings interleaves magnitudes, so sort
-    numerically whenever every label parses as a number.
-    """
-    try:
-        return sorted(labels, key=float)
-    except ValueError:
-        return sorted(labels)
-
-
-def _maybe_num(text: str):
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        return text
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.4f}"
-    if isinstance(value, dict):
-        return ";".join(f"{k}={_csv_cell(v)}" for k, v in value.items())
-    return str(value)
-
 
 def suite(workloads: Optional[Sequence[WorkloadSpec]] = None) -> List[WorkloadSpec]:
     """The workload list an experiment should run (defaults to all eight)."""

@@ -175,9 +175,6 @@ class FleetConfig:
         """Per-shard root seed: disjoint across shards and namespaces."""
         return derive_seed(self.seed, "fleet", str(shard))
 
-    def shard_workload(self, shard: int) -> WorkloadSpec:
-        return self.shard_tenants()[shard].apply(self.workload)
-
     def compile(self) -> List[SimJob]:
         """Per-shard :class:`SimJob`\\ s, each independently cacheable."""
         tenants = self.shard_tenants()

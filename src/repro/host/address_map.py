@@ -70,7 +70,6 @@ class AddressMap:
             raise ConfigError("interleave must be a positive power of two")
         if row_bytes % interleave_bytes:
             raise ConfigError("row size must be a multiple of the interleave")
-        self.capacities = list(cube_capacities)
         self.interleave_bytes = interleave_bytes
         self.row_bytes = row_bytes
         self.banks_per_stack = banks_per_stack

@@ -53,17 +53,6 @@ class Bank:
         return row in self._open_rows
 
     @property
-    def open_row(self):
-        """Most recently used open row (None if all buffers are closed)."""
-        if not self._open_rows:
-            return None
-        return next(reversed(self._open_rows))
-
-    @property
-    def any_row_open(self) -> bool:
-        return bool(self._open_rows)
-
-    @property
     def buffers_full(self) -> bool:
         return len(self._open_rows) >= self.num_row_buffers
 

@@ -351,9 +351,5 @@ class QuadrantController:
 
     # -- introspection ------------------------------------------------------------
     @property
-    def queued(self) -> int:
-        return len(self._queue)
-
-    @property
     def pending_responses(self) -> int:
         return len(self._pending_responses)

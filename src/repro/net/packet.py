@@ -31,14 +31,6 @@ class PacketKind(enum.IntEnum):
     P2P_ACK = 6  # destination cube -> host: copy durable
 
     @property
-    def is_request(self) -> bool:
-        return self in (
-            PacketKind.READ_REQ,
-            PacketKind.WRITE_REQ,
-            PacketKind.P2P_REQ,
-        )
-
-    @property
     def carries_data(self) -> bool:
         """Data packets are write requests, read responses and p2p lines."""
         return self in (

@@ -52,6 +52,18 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.net.packet import PacketKind
 
+
+def serializing_ps(link) -> int:
+    """Time ``link`` spent serializing packets, CRC replay time excluded.
+
+    The one busy-time rule of both link reports: the tracer summary and
+    :func:`repro.analysis.network_stats.link_stats` divide it by the run
+    time to get a link's utilization.  A replayed traversal holds the
+    channel but carries nothing new.
+    """
+    return link.busy_ps - link.replay_ps
+
+
 # Event-kind codes (index 1 of every ring tuple) and their public
 # string taxonomy, decoded only at export.
 LINK = 0
@@ -315,7 +327,7 @@ class TraceRecorder:
         """Serialization time per link that carried a packet, CRC replay
         time excluded."""
         return dict(sorted(
-            (link.name, link.busy_ps - link.replay_ps)
+            (link.name, serializing_ps(link))
             for link in self._links if link.packets_carried
         ))
 

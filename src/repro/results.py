@@ -227,10 +227,6 @@ class SimResult:
         return self.collector.all.total_ns
 
     @property
-    def p50_latency_ns(self) -> float:
-        return self.collector.all.percentile_ns("total", 0.50)
-
-    @property
     def p95_latency_ns(self) -> float:
         return self.collector.all.percentile_ns("total", 0.95)
 

@@ -69,10 +69,6 @@ class ResultCache:
     def persistent(self) -> bool:
         return self.cache_dir is not None
 
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
-
     def __len__(self) -> int:
         return len(self._memory)
 

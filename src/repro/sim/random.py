@@ -30,7 +30,6 @@ class RandomStream:
 
     def __init__(self, root_seed: int, *labels: str) -> None:
         self.seed = derive_seed(root_seed, *labels)
-        self.labels = labels
         self._rng = random.Random(self.seed)
 
     def random(self) -> float:
@@ -66,7 +65,3 @@ class RandomStream:
 
     def shuffle(self, seq) -> None:
         self._rng.shuffle(seq)
-
-    def spawn(self, *labels: str) -> "RandomStream":
-        """Create a child stream under this stream's namespace."""
-        return RandomStream(self.seed, *labels)

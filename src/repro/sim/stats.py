@@ -250,10 +250,6 @@ class TailAccumulator:
         self.max: Optional[float] = None
         self.total = 0.0
 
-    @property
-    def shaped(self) -> bool:
-        return self.bucket_width is not None
-
     def _adopt_or_check(self, bucket_width: float, num_buckets: int) -> None:
         if self.bucket_width is None:
             self.bucket_width = bucket_width

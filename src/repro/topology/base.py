@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.errors import TopologyError
 from repro.net.routing import RouteClass
@@ -48,9 +48,6 @@ class EdgeSpec:
     link_kind: LinkKind = LinkKind.EXTERNAL
     classes: FrozenSet[RouteClass] = ALL_CLASSES
     is_chain: bool = False  # part of the skip-list central chain
-
-    def endpoints(self) -> Tuple[int, int]:
-        return (self.a, self.b)
 
 
 @dataclass

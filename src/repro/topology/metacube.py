@@ -112,13 +112,3 @@ def build_metacube(
             parent = attachment_points[tree_parent(position, package_arity)]
             topo.add_edge(parent, attach, is_chain=True)
     return topo
-
-
-def package_order_techs(
-    num_dram: int, num_nvm: int, placement: str, arity: int = 4
-) -> List[str]:
-    """Tech of each cube in node-id order (used by the address map)."""
-    techs: List[str] = []
-    for tech, members in plan_packages(num_dram, num_nvm, placement, arity):
-        techs.extend([tech] * members)
-    return techs

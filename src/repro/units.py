@@ -13,17 +13,11 @@ from functools import lru_cache
 PS = 1
 NS = 1_000 * PS
 US = 1_000 * NS
-MS = 1_000 * US
 
 
 def ns(value: float) -> int:
     """Convert a (possibly fractional) nanosecond value to integer ps."""
     return int(round(value * NS))
-
-
-def us(value: float) -> int:
-    """Convert a microsecond value to integer ps."""
-    return int(round(value * US))
 
 
 def to_ns(ps_value: int) -> float:
@@ -35,23 +29,11 @@ def to_ns(ps_value: int) -> float:
 BIT = 1
 BYTE = 8 * BIT
 KB = 1024 * BYTE
-MB = 1024 * KB
-GB = 1024 * MB
 
 KIB_BYTES = 1024
 MIB_BYTES = 1024 * KIB_BYTES
 GIB_BYTES = 1024 * MIB_BYTES
 TIB_BYTES = 1024 * GIB_BYTES
-
-
-def gib(value: float) -> int:
-    """Capacity in bytes for a GiB value."""
-    return int(value * GIB_BYTES)
-
-
-def tib(value: float) -> int:
-    """Capacity in bytes for a TiB value."""
-    return int(value * TIB_BYTES)
 
 
 # --- bandwidth -------------------------------------------------------------
@@ -75,10 +57,3 @@ def serialization_ps(size_bits: int, lanes: int, lane_gbps: float) -> int:
     if ticks > whole:
         whole += 1
     return whole
-
-
-# --- energy ----------------------------------------------------------------
-PJ = 1.0
-NJ = 1_000 * PJ
-UJ = 1_000 * NJ
-MJ = 1_000 * UJ

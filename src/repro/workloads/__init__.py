@@ -3,12 +3,6 @@
 from repro.workloads.base import Request, WorkloadSpec
 from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.trace import Trace, TraceWorkload
-from repro.workloads.patterns import (
-    StreamWorkload,
-    StridedWorkload,
-    TiledWorkload,
-    UniformRandomWorkload,
-)
 from repro.workloads.suite import PAPER_SUITE, get_workload, workload_names
 
 __all__ = [
@@ -20,8 +14,4 @@ __all__ = [
     "PAPER_SUITE",
     "get_workload",
     "workload_names",
-    "StreamWorkload",
-    "StridedWorkload",
-    "TiledWorkload",
-    "UniformRandomWorkload",
 ]

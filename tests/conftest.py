@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
 from typing import Optional, Tuple
 
 import pytest
@@ -14,17 +13,6 @@ from repro.sim.engine import Engine
 from repro.system import MemoryNetworkSystem
 from repro.units import GIB_BYTES
 from repro.workloads import WorkloadSpec
-
-if importlib.util.find_spec("pytest_timeout") is None:
-    # pytest-timeout is a CI-only dependency; register its `timeout`
-    # ini option as an inert fallback so the pyproject setting does not
-    # warn (or enforce anything) on machines without the plugin.
-    def pytest_addoption(parser):
-        parser.addini(
-            "timeout",
-            "per-test timeout in seconds (enforced only with pytest-timeout)",
-            default=None,
-        )
 
 
 def small_config(**overrides) -> SystemConfig:

@@ -47,11 +47,6 @@ class TestTechPresets:
     def test_nvm_is_4x_denser(self):
         assert nvm_tech().capacity_bytes == 4 * dram_tech().capacity_bytes
 
-    def test_convenience_latencies(self):
-        dram = dram_tech()
-        assert dram.row_hit_read_ps() == dram.tcl_ps
-        assert dram.row_miss_read_ps() == dram.trp_ps + dram.trcd_ps + dram.tcl_ps
-
 
 class TestPacketConfig:
     def test_data_is_5x_control(self):

@@ -261,7 +261,7 @@ class TestTenants:
         fleet = small_fleet(
             2, tenants=(Tenant("skewed", skew=0.7, rate_scale=2.0),)
         )
-        workload = fleet.shard_workload(0)
+        workload = fleet.compile()[0].workload
         assert workload.skew == 0.7
         assert workload.mean_gap_ns == fast_workload().mean_gap_ns / 2.0
 

@@ -166,7 +166,7 @@ def test_empty_fold_keeps_accumulator_shapeless():
     acc = TailAccumulator()
     acc.fold(_histogram([], bucket_width=7.0, num_buckets=3))
     acc.merge(TailAccumulator())
-    assert not acc.shaped and acc.buckets == {} and acc.num_buckets == 0
+    assert acc.bucket_width is None and acc.buckets == {} and acc.num_buckets == 0
     # The first non-empty histogram still sets the shape.
     acc.fold(_histogram([10]))
     assert acc.bucket_width == 100.0 and acc.num_buckets == 16

@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.check.goldens import (
+    MATRIX_REQUESTS,
+    _matrix_workload,
     compute_experiments,
     diff_goldens,
     fleet_cases,
@@ -23,6 +25,7 @@ from repro.check.goldens import (
     run_matrix_case,
 )
 from repro.experiments.registry import experiment_ids
+from repro.system import MemoryNetworkSystem
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -50,6 +53,25 @@ class TestMatrixGoldens:
         entry = run_matrix_case(config, audit=True, workload=workload)
         report = diff_goldens({name: recorded[name]}, {name: entry})
         assert not report, "\n".join(report)
+
+    @pytest.mark.parametrize("name,base", [
+        ("skiplist/frfcfs", "skiplist/base"),
+        ("p2p/shuffle", "p2p/base"),
+        ("p2p/neighbor", "p2p/base"),
+        ("skiplist/hysteresis", "skiplist/base"),
+    ])
+    def test_path_case_differs_from_its_base(self, name, base):
+        # Each case exists to reach a path its base never runs; an equal
+        # digest would mean its knob no longer takes effect.
+        recorded = _load("matrix")
+        assert recorded[name]["digest"] != recorded[base]["digest"]
+
+    def test_hysteresis_case_toggles_burst_mode(self):
+        config = next(c for n, c, _ in _CASES if n == "skiplist/hysteresis")
+        result = MemoryNetworkSystem(
+            config, _matrix_workload(), requests=MATRIX_REQUESTS
+        ).run()
+        assert result.burst_mode_toggles > 0
 
     def test_no_orphan_goldens(self):
         live = {name for name, _, _ in _CASES}

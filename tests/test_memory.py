@@ -11,14 +11,12 @@ from repro.units import ns
 class TestBank:
     def test_initially_closed_and_free(self):
         bank = Bank()
-        assert bank.open_row is None
-        assert not bank.any_row_open
+        assert not bank.would_hit(5)
         assert bank.ready_for(0, 5)
 
     def test_note_access_opens_row(self):
         bank = Bank()
         bank.note_access(7, hit=False)
-        assert bank.open_row == 7
         assert bank.would_hit(7)
         assert not bank.would_hit(8)
 
@@ -43,7 +41,7 @@ class TestBank:
         bank = Bank(num_row_buffers=2)
         bank.note_access(1, hit=False)
         bank.refresh(100, 350)
-        assert not bank.any_row_open
+        assert not bank.would_hit(1)
         assert bank.array_busy_until == 450
         assert not bank.ready_for(200, 1)
 

@@ -6,7 +6,7 @@ from repro.config import NVM_FIRST, NVM_LAST
 from repro.errors import TopologyError
 from repro.topology import build_metacube
 from repro.topology.base import LinkKind, NodeKind
-from repro.topology.metacube import package_order_techs, plan_packages
+from repro.topology.metacube import plan_packages
 from repro.topology.placement import position_distances
 
 
@@ -33,8 +33,12 @@ class TestPackagePlanning:
             plan_packages(4, 0, "middle")
 
     def test_package_order_techs(self):
-        techs = package_order_techs(8, 2, NVM_LAST)
-        assert techs == ["DRAM"] * 8 + ["NVM"] * 2
+        for placement, techs in (
+            (NVM_LAST, ["DRAM"] * 8 + ["NVM"] * 2),
+            (NVM_FIRST, ["NVM"] * 2 + ["DRAM"] * 8),
+        ):
+            topo = build_metacube(8, 2, placement)
+            assert [topo.tech_of(c) for c in topo.cube_ids()] == techs
 
 
 class TestMetacubeTopology:

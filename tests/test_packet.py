@@ -20,10 +20,11 @@ from repro.sim.engine import Engine
 
 class TestPacketKind:
     def test_request_response_partition(self):
+        requests = {PacketKind.READ_REQ, PacketKind.WRITE_REQ, PacketKind.P2P_REQ}
         for kind in PacketKind:
             packet = Packet(kind, 0, 0, 1, 8, 0)
-            assert packet.is_req is kind.is_request
-            assert packet.is_resp is not kind.is_request
+            assert packet.is_req is (kind in requests)
+            assert packet.is_resp is (kind not in requests)
 
     def test_data_packets(self):
         assert PacketKind.WRITE_REQ.carries_data

@@ -63,11 +63,3 @@ def test_geometric_run_degenerate():
     stream = RandomStream(1, "geo")
     assert stream.geometric_run(1.0) == 1
     assert stream.geometric_run(0.5) == 1
-
-
-def test_spawn_creates_namespaced_child():
-    parent = RandomStream(9, "p")
-    child1 = parent.spawn("c")
-    child2 = parent.spawn("c")
-    assert child1.seed == child2.seed
-    assert child1.seed != parent.seed

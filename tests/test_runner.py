@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.config import ObsConfig, OverloadConfig, SystemConfig, parse_label
-from repro.experiments.base import ExperimentOutput
 from repro.fleet import FleetConfig, Tenant, uniform_fleet
 from repro.net.routing import cached_bfs_paths, clear_route_cache
 from repro.ras import FaultPlan
@@ -463,32 +462,6 @@ class TestExperimentDeterminism:
             parallel = run(**kwargs)
         assert serial.data == cached.data == parallel.data
         assert serial.text == cached.text == parallel.text
-
-
-class TestCsvColumnOrder:
-    def test_numeric_labels_sorted_numerically(self, tmp_path):
-        output = ExperimentOutput(
-            experiment_id="t",
-            title="t",
-            text="t",
-            data={"grid": {"row": {2: 1.0, 10: 2.0, 16: 3.0}}},
-        )
-        path = tmp_path / "out.csv"
-        output.save_csv(path)
-        header = path.read_text().splitlines()[0].split(",")
-        assert header[1:] == ["2", "10", "16"]
-
-    def test_string_labels_sorted_lexically(self, tmp_path):
-        output = ExperimentOutput(
-            experiment_id="t",
-            title="t",
-            text="t",
-            data={"grid": {"row": {"b": 1.0, "a": 2.0}}},
-        )
-        path = tmp_path / "out.csv"
-        output.save_csv(path)
-        header = path.read_text().splitlines()[0].split(",")
-        assert header[1:] == ["a", "b"]
 
 
 class TestRouteCache:

@@ -12,7 +12,7 @@ def test_ns_conversion():
 
 
 def test_us_conversion():
-    assert units.us(1) == 1_000_000
+    assert units.US == 1_000_000
 
 
 def test_to_ns_roundtrip():
@@ -22,13 +22,11 @@ def test_to_ns_roundtrip():
 def test_time_constants_consistent():
     assert units.NS == 1000 * units.PS
     assert units.US == 1000 * units.NS
-    assert units.MS == 1000 * units.US
 
 
 def test_capacity_helpers():
-    assert units.gib(1) == 2**30
-    assert units.tib(1) == 2**40
-    assert units.gib(16) * 64 == units.tib(1)
+    assert units.GIB_BYTES == 2**30
+    assert units.TIB_BYTES == 2**40
 
 
 def test_gbps_to_bits_per_ps():
